@@ -2,7 +2,7 @@
 
 Calibrates multiplicative loss thresholds to an integer lattice barrier,
 evaluates the combinatorial ruin series under two coefficient conventions,
-provides exact dynamic-programming and closed-form oracles, runs
+provides an exact finite-horizon oracle and closed forms, runs
 reproducible Monte Carlo simulations, and rebalances probabilities for
 asymmetric gain/loss legs.
 """

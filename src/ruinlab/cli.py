@@ -187,7 +187,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "exact",
         parents=[common],
-        help="exact ruin probability within a horizon (dynamic program)",
+        help="exact ruin probability within a horizon (first-passage masses)",
     )
     p.add_argument("--p", type=_probability, required=True)
     p.add_argument("--distance", type=_positive_int, required=True)
@@ -301,9 +301,13 @@ def _cmd_series(args: argparse.Namespace) -> CommandOutput:
         f"{'N':>5} {'count':>24} {'probability':>16} {'cumulative':>16}",
     ]
     for term in report.terms:
-        count = str(term.path_count)
+        count = term.path_count_text
         if len(count) > 24:
-            count = f"{float(term.path_count):.6e}"
+            try:
+                count = f"{float(term.path_count):.6e}"
+            except OverflowError:  # past the double range: round the exact count
+                from decimal import Decimal  # imported only on this rare path
+                count = f"{Decimal(term.path_count):.6e}"
         human.append(
             f"{term.n_gains:>5} {count:>24} {term.probability:>16.9e} "
             f"{term.cumulative:>16.12f}"

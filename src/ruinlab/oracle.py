@@ -1,10 +1,16 @@
 """Ground-truth engines for the lattice ruin problem.
 
-The reference oracle is a forward dynamic program over the net-loss walk:
-each trial moves the position +1 with probability ``p`` and -1 with
-probability ``q``, and mass reaching ``-d`` is absorbed.  Classical closed
-forms and the closed-form expected-time estimators are provided alongside
-for comparison tables.
+Ruin is the first passage of a +/-1 walk (up with probability ``p``, down
+with probability ``q``) to ``-d``.  That passage happens only on steps
+``d + 2N``, with mass given in closed form by the hitting-time (ballot)
+theorem, Feller, *An Introduction to Probability Theory*, Vol. I, III.7:
+
+    f(d + 2N) = d / (d + 2N) * C(d + 2N, N) * q**(d + N) * p**N
+
+:func:`first_passage_masses` evaluates every mass within a horizon at once
+from the ratio of consecutive terms; the horizon oracle sums them.
+Classical closed forms and the closed-form expected-time estimators are
+provided alongside for comparison tables.
 """
 from __future__ import annotations
 
@@ -15,16 +21,48 @@ import numpy as np
 
 from .errors import DomainError
 
-# The surviving mass of a +/-1 walk spreads like sqrt(t); tracking this
-# many standard deviations above the barrier keeps truncation leakage far
-# below double-precision noise while the state space stays O(sqrt(horizon)).
-_BAND_SIGMAS = 8.0
+# The running product restarts from a power-of-two scale every this many
+# factors: factors are rescaled into [1/2, 1), and 2**-1000 is still a
+# normal double, so no partial product can underflow.
+_RESCALE_EVERY = 1000
 
-# Mass below this is periodically flushed to exact zero: it cannot move any
-# result by more than ~1e-270, and letting it decay further would fill the
-# state with subnormal floats, which are orders of magnitude slower.
-_FLUSH_THRESHOLD = 1e-280
-_FLUSH_EVERY = 64
+
+def first_passage_masses(p: float, d: int, horizon: int) -> np.ndarray:
+    """First-passage masses ``f(d + 2N)`` for ``N = 0 .. (horizon - d) // 2``.
+
+    One running product: ``d`` factors of ``q`` give ``f(d) = q**d``, then
+
+        f(d + 2N + 2) / f(d + 2N) = (d+2N)(d+2N+1) / ((N+1)(d+N+1)) * p*q
+
+    Each factor is split into a mantissa in [1/2, 1) and a power of two;
+    the powers add exactly and the mantissa product is rescaled every
+    ``_RESCALE_EVERY`` factors, so an underflowing ``q**d`` (large ``d``)
+    does not zero later masses that are representable.  ``p`` in {0, 1}
+    gives exact zeros.  Arguments are not validated.
+    """
+    q = 1.0 - p
+    n = np.arange((horizon - d) // 2, dtype=float)
+    length = d + 2.0 * n
+    ratio = length * (length + 1.0) / ((n + 1.0) * (d + n + 1.0)) * p * q
+    mantissa, exponent = np.frexp(np.concatenate((np.full(d, q), ratio)))
+    exponent = np.cumsum(exponent, dtype=np.int64)
+    products = np.empty(len(mantissa))
+    scale, shift = 1.0, 0
+    for start in range(0, len(mantissa), _RESCALE_EVERY):
+        stop = start + _RESCALE_EVERY
+        block = np.cumprod(mantissa[start:stop]) * scale
+        products[start:stop] = np.ldexp(block, exponent[start:stop] + shift)
+        scale, rescale = math.frexp(block[-1])
+        shift += rescale
+    return products[d - 1 :]
+
+
+def check_walk(p: float, d: int) -> None:
+    """Reject a gain probability outside [0, 1] or a distance below 1."""
+    if not 0.0 <= p <= 1.0:
+        raise DomainError(f"p must be in [0, 1], got {p}")
+    if d < 1:
+        raise DomainError(f"distance must be >= 1, got {d}")
 
 
 @dataclass(frozen=True)
@@ -33,8 +71,8 @@ class AbsorptionResult:
 
     ``expected_time_censored`` is the mean number of steps among paths
     ruined within the horizon (NaN when no mass was absorbed, e.g. p = 1).
-    ``survival_mass`` is the complement of the ruin probability; the DP
-    conserves total mass by construction.
+    ``survival_mass`` is ``1 - ruin_probability_within_horizon``; the ruin
+    probability is accurate to about 1e-15 absolute.
     """
 
     ruin_probability_within_horizon: float
@@ -66,69 +104,32 @@ def ruin_probability_dp(
 ) -> AbsorptionResult:
     """Exact probability that net loss reaches ``d`` within ``horizon`` steps.
 
-    Forward DP over reachable lattice positions with the absorbing barrier
-    removed from circulation each step.  "Within horizon" is inclusive of
-    the horizon-th step.  Absorbed mass and the time accumulator use
-    compensated (Kahan) summation; long horizons truncate the tracked band
-    at ``~8 * sqrt(horizon)`` positions above the barrier, where the
-    unreachable tail mass is below double-precision noise.
+    "Within horizon" is inclusive of the horizon-th step.  The ruin
+    probability is the correctly rounded sum (``math.fsum``) of the
+    first-passage masses from :func:`first_passage_masses`; the survival
+    mass is its complement.
 
     With ``keep_distribution`` the per-step absorbed mass is returned as a
-    sparse ``{step: mass}`` map (ruin times share the parity of ``d``).
+    sparse ``{step: mass}`` map over the steps with nonzero mass, all of
+    which share the parity of ``d``.
     """
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"p must be in [0, 1], got {p}")
-    if d < 1:
-        raise DomainError(f"distance must be >= 1, got {d}")
+    check_walk(p, d)
     if horizon < d:
         raise DomainError(
             f"horizon must be >= distance (ruin needs at least d steps), "
             f"got horizon={horizon}, d={d}"
         )
-    q = 1.0 - p
-
-    # tracked positions -(d-1) .. top, index j = position + d - 1;
-    # absorption happens on a loss from j = 0
-    top = min(horizon, max(64, math.ceil(_BAND_SIGMAS * math.sqrt(horizon))))
-    m = top + d
-    state = np.zeros(m)
-    state[d - 1] = 1.0
-    nxt = np.zeros(m)
-    buf = np.zeros(m)
-
-    ruin = _Kahan()
-    time_sum = _Kahan()
-    distribution: dict[int, float] | None = {} if keep_distribution else None
-
-    for t in range(1, horizon + 1):
-        absorbed = float(q * state[0])
-        if absorbed != 0.0:
-            ruin.add(absorbed)
-            time_sum.add(t * absorbed)
-            if distribution is not None:
-                distribution[t] = absorbed
-        live = min(m, d + t)  # highest reachable index after t steps, plus one
-        np.multiply(state[0 : live - 1], p, out=nxt[1:live])
-        nxt[0] = 0.0
-        if live == m:
-            nxt[m - 1] += p * state[m - 1]  # band top saturates
-        np.multiply(state[1:live], q, out=buf[0 : live - 1])
-        nxt[0 : live - 1] += buf[0 : live - 1]
-        state, nxt = nxt, state
-        if t % _FLUSH_EVERY == 0:
-            state[state < _FLUSH_THRESHOLD] = 0.0
-
-    ruin_probability = float(ruin.total)
-    survival = float(np.sum(state))
-    mean_time = (
-        float(time_sum.total) / ruin_probability if ruin_probability > 0.0 else math.nan
-    )
+    masses = first_passage_masses(p, d, horizon)
+    steps = d + 2 * np.arange(len(masses))
+    ruin_probability = math.fsum(masses)
+    time_sum = math.fsum(steps * masses)
+    mean_time = time_sum / ruin_probability if ruin_probability > 0.0 else math.nan
+    distribution = None
+    if keep_distribution:
+        hit = np.flatnonzero(masses)
+        distribution = dict(zip(steps[hit].tolist(), masses[hit].tolist()))
     return AbsorptionResult(
-        ruin_probability_within_horizon=ruin_probability,
-        horizon=horizon,
-        expected_time_censored=mean_time,
-        survival_mass=survival,
-        ruin_time_distribution=distribution,
+        ruin_probability, horizon, mean_time, 1.0 - ruin_probability, distribution
     )
 
 
@@ -138,10 +139,7 @@ def ruin_probability_closed_form(p: float, d: int) -> float:
     Ruin is certain for ``p <= 1/2``; the degenerate ``p = 0`` and
     ``p = 1`` cases are exactly 1 and 0.
     """
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"p must be in [0, 1], got {p}")
-    if d < 1:
-        raise DomainError(f"distance must be >= 1, got {d}")
+    check_walk(p, d)
     if p <= 0.5:
         return 1.0
     if p == 1.0:
@@ -156,10 +154,7 @@ def expected_time_paper(p: float, d: int) -> float:
     it does not match the true first-passage mean in general (at p = 0 it
     gives ``2(d-1)`` where the walk ruins in exactly ``d`` steps).
     """
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"p must be in [0, 1], got {p}")
-    if d < 1:
-        raise DomainError(f"distance must be >= 1, got {d}")
+    check_walk(p, d)
     if p == 1.0:
         raise DomainError("estimator undefined at p = 1 (denominator vanishes)")
     return (d - 1) / (1.0 - p**d) + (d - 1)
@@ -172,17 +167,14 @@ def expected_time_classical(p: float, d: int) -> float:
     ``math.inf`` otherwise (absorption time divergent or ruin not certain).
     Divergence is a value, not an error.
     """
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"p must be in [0, 1], got {p}")
-    if d < 1:
-        raise DomainError(f"distance must be >= 1, got {d}")
+    check_walk(p, d)
     if p >= 0.5:
         return math.inf
     return d / (1.0 - 2.0 * p)
 
 
 def expected_time_censored_dp(p: float, d: int, horizon: int) -> float:
-    """Mean ruin time conditioned on ruin within ``horizon``, from the DP."""
+    """Mean ruin time conditioned on ruin within ``horizon``, from the oracle."""
     result = ruin_probability_dp(p, d, horizon)
     if result.ruin_probability_within_horizon <= 0.0:
         raise DomainError(
@@ -191,18 +183,3 @@ def expected_time_censored_dp(p: float, d: int, horizon: int) -> float:
         )
     return result.expected_time_censored
 
-
-class _Kahan:
-    """Compensated scalar accumulator."""
-
-    __slots__ = ("total", "_c")
-
-    def __init__(self) -> None:
-        self.total = 0.0
-        self._c = 0.0
-
-    def add(self, value: float) -> None:
-        y = value - self._c
-        t = self.total + y
-        self._c = (t - self.total) - y
-        self.total = t

@@ -11,17 +11,21 @@ number of such paths are provided side by side:
   gain/loss sequences whose net loss reaches ``d`` for the first time on
   the final step.
 
-Every series term carries its count as an arbitrary-precision integer;
-probabilities switch to log space once paths get long enough that the
-direct product could overflow or underflow.
+Each term carries its count as an exact integer; all counts are built in
+one pass from the ratio of consecutive binomials.  Exact-mode term
+probabilities are :func:`ruinlab.oracle.first_passage_masses`; paper-mode
+ones switch to log space once the direct product could over- or underflow.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 from typing import Iterator, Literal
 
 from .errors import DomainError, ValidityError
+from .oracle import check_walk, first_passage_masses
 
 CoefficientMode = Literal["paper", "exact"]
 
@@ -46,20 +50,6 @@ def multinomial(n: int, parts: list[int]) -> int:
     return result
 
 
-def _binom(n: int, k: int) -> int:
-    """C(n, k) by the falling-factorial product.
-
-    Unlike ``math.comb`` this is defined for negative ``n`` when ``k = 0``
-    (empty product = 1), which the leading series term needs at ``d = 1``.
-    """
-    if k < 0:
-        raise DomainError(f"k must be nonnegative, got {k}")
-    result = 1
-    for i in range(1, k + 1):
-        result = result * (n - i + 1) // i
-    return result
-
-
 def paper_coefficient(d: int, n_gains: int) -> int:
     """Pencil-and-paper path count for the series term with ``n_gains`` gains.
 
@@ -68,9 +58,10 @@ def paper_coefficient(d: int, n_gains: int) -> int:
     overcounts from ``N = 3`` on (16 vs 14 at d=2, N=3).
     """
     _check_coefficient_args(d, n_gains)
-    count = _binom(d + 2 * n_gains - 2, n_gains)
+    # C(-1, 0) = 1 leads the series at d = 1
+    count = math.comb(max(d + 2 * n_gains - 2, 0), n_gains)
     if n_gains >= 2:
-        count -= _binom(2 * n_gains - 2, n_gains)
+        count -= math.comb(2 * n_gains - 2, n_gains)
     return count
 
 
@@ -98,12 +89,22 @@ class SeriesTerm:
     probability: float
     cumulative: float
 
+    @cached_property
+    def path_count_text(self) -> str:
+        """Exact decimal digits of ``path_count``; past Python's int-to-str
+        digit limit (4300 by default) through ``Decimal``, which it spares."""
+        try:
+            return str(self.path_count)
+        except ValueError:
+            from decimal import Decimal  # imported only on this rare path
+            return str(Decimal(self.path_count))
+
     def to_dict(self) -> dict:
         # exact count rendered as a decimal string: it routinely exceeds
         # 64-bit range and JSON consumers would silently truncate it
         return {
             "n_gains": self.n_gains,
-            "path_count": str(self.path_count),
+            "path_count": self.path_count_text,
             "probability": self.probability,
             "cumulative": self.cumulative,
         }
@@ -144,7 +145,7 @@ class SeriesReport:
 
     def csv_rows(self) -> Iterator[tuple]:
         for t in self.terms:
-            yield (t.n_gains, str(t.path_count), t.probability, t.cumulative)
+            yield (t.n_gains, t.path_count_text, t.probability, t.cumulative)
 
 
 def ruin_series(
@@ -158,26 +159,21 @@ def ruin_series(
     In ``exact`` mode the cumulative sum at ``N`` is exactly the
     probability of ruin within ``d + 2N`` trials.
     """
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"p must be in [0, 1], got {p}")
-    if d < 1:
-        raise DomainError(f"distance must be >= 1, got {d}")
+    check_walk(p, d)
     if max_gains < 0:
         raise DomainError(f"max_gains must be >= 0, got {max_gains}")
     if mode not in ("paper", "exact"):
         raise DomainError(f"mode must be 'paper' or 'exact', got {mode!r}")
 
-    coefficient = paper_coefficient if mode == "paper" else exact_coefficient
     q = 1.0 - p
-
-    terms: list[SeriesTerm] = []
-    cumulative = 0.0
-    for n_gains in range(max_gains + 1):
-        count = coefficient(d, n_gains)
-        probability = _term_probability(count, p, q, d, n_gains)
-        cumulative += probability
-        terms.append(SeriesTerm(n_gains, count, probability, cumulative))
-
+    if mode == "exact":
+        counts = _exact_counts(d, max_gains)
+        probabilities = first_passage_masses(p, d, d + 2 * max_gains).tolist()
+    else:
+        counts = _paper_counts(d, max_gains)
+        probabilities = [_term_probability(c, p, q, d, n) for n, c in enumerate(counts)]
+    cumulative = accumulate(probabilities)
+    terms = [SeriesTerm(n, *term) for n, term in enumerate(zip(counts, probabilities, cumulative))]
     return SeriesReport(
         p_gain=p,
         distance=d,
@@ -231,6 +227,32 @@ def paper_final_form(p: float, d: int) -> float:
     return (q * p) ** d
 
 
+def _exact_counts(d: int, max_gains: int) -> list[int]:
+    """``exact_coefficient(d, N)`` for ``N = 0 .. max_gains``, each from the
+    last by ``c(N+1) / c(N) = (d+2N)(d+2N+1) / ((N+1)(d+N+1))``."""
+    counts, count = [], 1
+    for n in range(max_gains + 1):
+        counts.append(count)
+        length = d + 2 * n
+        count = count * length * (length + 1) // ((n + 1) * (d + n + 1))
+    return counts
+
+
+def _paper_counts(d: int, max_gains: int) -> list[int]:
+    """``paper_coefficient(d, N)`` for ``N = 0 .. max_gains``: the runs of
+    ``C(d+2N-2, N)`` and, from ``N = 2``, ``C(2N-2, N)``, each term from the
+    last by the ratio of consecutive binomials."""
+    counts, head, tail = [], 1, 1
+    for n in range(max_gains + 1):
+        counts.append(head - tail if n >= 2 else head)
+        top = d + 2 * n
+        # C(-1, 0) = 1 is followed by C(1, 1) = 1 at d = 1
+        head = 1 if top == 1 else head * (top - 1) * top // ((n + 1) * (d + n - 1))
+        if n >= 2:
+            tail = tail * (2 * n - 1) * (2 * n) // ((n + 1) * (n - 1))
+    return counts
+
+
 def _check_coefficient_args(d: int, n_gains: int) -> None:
     if d < 1:
         raise DomainError(f"distance must be >= 1, got {d}")
@@ -239,10 +261,7 @@ def _check_coefficient_args(d: int, n_gains: int) -> None:
 
 
 def _check_approx_args(p: float, d: int) -> float:
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"p must be in [0, 1], got {p}")
-    if d < 1:
-        raise DomainError(f"distance must be >= 1, got {d}")
+    check_walk(p, d)
     return 1.0 - p
 
 

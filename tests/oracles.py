@@ -1,13 +1,16 @@
 """Independent brute-force oracles used only by the test suite.
 
-Everything here is deliberately naive: exhaustive enumeration and exact
-rational arithmetic, with no shared code paths into the package under
-test.
+Everything here is deliberately naive: exhaustive enumeration, exact
+rational arithmetic and a step-by-step dynamic program, with no shared
+code paths into the package under test.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import product
+
+import numpy as np
 
 GAIN = 1
 LOSS = -1
@@ -89,3 +92,73 @@ def series_cumulative_by_rational_sum(
     for n_gains in range(max_gains + 1):
         total += counts[n_gains] * q ** (d + n_gains) * p**n_gains
     return total
+
+
+# The surviving mass of a +/-1 walk spreads like sqrt(t); tracking this
+# many standard deviations above the start keeps truncation leakage far
+# below double-precision noise while the state stays O(sqrt(horizon)).
+_BAND_SIGMAS = 8.0
+
+# Mass below this is periodically flushed to exact zero: it cannot move any
+# result by more than ~1e-270, and letting it decay further would fill the
+# state with subnormal floats, which are orders of magnitude slower.
+_FLUSH_THRESHOLD = 1e-280
+_FLUSH_EVERY = 64
+
+
+def ruin_by_step_dp(p: float, d: int, horizon: int):
+    """Forward dynamic program over the net-loss walk, one step at a time.
+
+    Returns ``(ruin, censored_mean, survival, {step: absorbed mass})``.
+    Absorbed mass and the time sum use compensated (Kahan) summation; the
+    band of tracked positions saturates ``~8 * sqrt(horizon)`` above the
+    start, so a little mass can leak onto steps of the wrong parity.
+    """
+    q = 1.0 - p
+    # tracked positions -(d-1) .. top, index j = position + d - 1;
+    # absorption happens on a loss from j = 0
+    top = min(horizon, max(64, math.ceil(_BAND_SIGMAS * math.sqrt(horizon))))
+    m = top + d
+    state = np.zeros(m)
+    state[d - 1] = 1.0
+    nxt = np.zeros(m)
+    buf = np.zeros(m)
+
+    ruin = _Kahan()
+    time_sum = _Kahan()
+    distribution = {}
+    for t in range(1, horizon + 1):
+        absorbed = float(q * state[0])
+        if absorbed != 0.0:
+            ruin.add(absorbed)
+            time_sum.add(t * absorbed)
+            distribution[t] = absorbed
+        live = min(m, d + t)  # highest reachable index after t steps, plus one
+        np.multiply(state[0 : live - 1], p, out=nxt[1:live])
+        nxt[0] = 0.0
+        if live == m:
+            nxt[m - 1] += p * state[m - 1]  # band top saturates
+        np.multiply(state[1:live], q, out=buf[0 : live - 1])
+        nxt[0 : live - 1] += buf[0 : live - 1]
+        state, nxt = nxt, state
+        if t % _FLUSH_EVERY == 0:
+            state[state < _FLUSH_THRESHOLD] = 0.0
+
+    mean = time_sum.total / ruin.total if ruin.total > 0.0 else math.nan
+    return ruin.total, mean, float(np.sum(state)), distribution
+
+
+class _Kahan:
+    """Compensated scalar accumulator."""
+
+    __slots__ = ("total", "_c")
+
+    def __init__(self) -> None:
+        self.total = 0.0
+        self._c = 0.0
+
+    def add(self, value: float) -> None:
+        y = value - self._c
+        t = self.total + y
+        self._c = (t - self.total) - y
+        self.total = t

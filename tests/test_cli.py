@@ -1,8 +1,11 @@
 """Command-line surface: formats, exit codes, manifests, reproducibility."""
+import csv
 import json
+from decimal import Decimal
 
 import pytest
 
+from ruinlab import exact_coefficient
 from ruinlab.cli import main
 
 
@@ -82,6 +85,29 @@ def test_series_csv_shape(capsys):
     assert lines[1] == "N,count,probability,cumulative"
     assert lines[2] == "0,1,0.25,0.25"
     assert len(lines) == 5
+
+
+@pytest.mark.parametrize("fmt", ["human", "json", "csv"])
+@pytest.mark.parametrize("max_gains", [600, 7200])
+def test_series_prints_counts_past_float_and_digit_limits(capsys, max_gains, fmt):
+    # from N ~ 515 counts exceed the double range; from N ~ 7140 their
+    # decimal digits exceed Python's default int-to-str limit of 4300
+    code, out, err = run_cli(
+        capsys, "series", "--p", "0.5", "--distance", "3",
+        "--max-gains", str(max_gains), "--format", fmt,
+    )
+    assert code == 0, err
+    count = exact_coefficient(3, max_gains)
+    if fmt == "json":
+        text = json.loads(out)["result"]["terms"][-1]["path_count"]
+    elif fmt == "csv":
+        text = list(csv.reader(out.splitlines()[1:]))[-1][1]
+    else:
+        last = out.splitlines()[-2].split()
+        assert last[0] == str(max_gains)
+        assert abs(Decimal(last[1]) / count - 1) < Decimal("1e-6")
+        return
+    assert Decimal(text) == count
 
 
 def test_exact_command(capsys):

@@ -15,6 +15,7 @@ from ruinlab import (
 )
 
 from oracles import (
+    ruin_by_step_dp,
     ruin_probability_by_enumeration,
     ruin_time_distribution_by_enumeration,
 )
@@ -75,10 +76,47 @@ def test_dp_equals_series_cumulative(p, d):
     n_max = 15
     horizon = d + 2 * n_max
     series = ruin_series(p, d, n_max, "exact")
-    dp = ruin_probability_dp(p, d, horizon)
-    assert dp.ruin_probability_within_horizon == pytest.approx(
-        series.cumulative, abs=1e-10
-    )
+    ruin, _, _, _ = ruin_by_step_dp(p, d, horizon)
+    assert ruin == pytest.approx(series.cumulative, abs=1e-10)
+
+
+@pytest.mark.parametrize("horizon", ["d", "d+1", 312, 10_000])
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 0.55, 1.0])
+def test_dp_equals_step_dp_oracle(p, d, horizon):
+    horizon = {"d": d, "d+1": d + 1}.get(horizon, horizon)
+    ruin, mean, survival, distribution = ruin_by_step_dp(p, d, horizon)
+    result = ruin_probability_dp(p, d, horizon, keep_distribution=True)
+    assert result.ruin_probability_within_horizon == pytest.approx(ruin, abs=1e-12)
+    assert result.survival_mass == pytest.approx(survival, abs=1e-12)
+    if math.isnan(mean):
+        assert math.isnan(result.expected_time_censored)
+    else:
+        assert result.expected_time_censored == pytest.approx(mean, rel=1e-9)
+    kernel = result.ruin_time_distribution
+    for step in set(kernel) | set(distribution):
+        assert kernel.get(step, 0.0) == pytest.approx(
+            distribution.get(step, 0.0), abs=1e-14
+        ), step
+
+
+def test_dp_large_distance_equals_step_dp_oracle():
+    # q**d underflows to zero here while later masses do not
+    p, d, horizon = 0.45, 1300, 100_000
+    assert (1.0 - p) ** d == 0.0
+    ruin, _, _, _ = ruin_by_step_dp(p, d, horizon)
+    result = ruin_probability_dp(p, d, horizon)
+    assert result.ruin_probability_within_horizon == pytest.approx(ruin, abs=1e-10)
+
+
+def test_ruin_time_distribution_only_on_reachable_steps():
+    # the step DP's saturating band top once leaked tiny masses onto steps
+    # of the wrong parity (89,972 keys here, where 50,000 are reachable)
+    d, horizon = 2, 100_000
+    result = ruin_probability_dp(0.5, d, horizon, keep_distribution=True)
+    steps = result.ruin_time_distribution
+    assert len(steps) == (horizon - d) // 2 + 1
+    assert all(d <= t <= horizon and (t - d) % 2 == 0 for t in steps)
 
 
 def test_dp_monotone_in_horizon_and_p():

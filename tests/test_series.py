@@ -109,6 +109,15 @@ def test_every_ruin_path_ends_with_a_loss():
                     assert path[-2] == LOSS
 
 
+def test_series_counts_equal_single_term_coefficients():
+    # the series builds all counts by recurrence; each must equal the
+    # coefficient computed from scratch
+    for d in range(1, 9):
+        for mode, fn in (("exact", exact_coefficient), ("paper", paper_coefficient)):
+            report = ruin_series(0.5, d, 300, mode)
+            assert [t.path_count for t in report.terms] == [fn(d, n) for n in range(301)]
+
+
 def test_agreement_region_and_overcount():
     for d in range(1, 7):
         for n_gains in range(3):
