@@ -12,7 +12,6 @@ from .model import (
     RuinSpec,
     TrialModel,
     calibrate,
-    distance_for_loss_level,
     generalized_distance,
     lattice_distance,
 )
@@ -27,7 +26,6 @@ from .montecarlo import (
 )
 from .oracle import (
     AbsorptionResult,
-    expected_time_censored_dp,
     expected_time_classical,
     expected_time_paper,
     ruin_probability_closed_form,
@@ -39,7 +37,6 @@ from .series import (
     approx_arith_geometric,
     approx_simplified,
     exact_coefficient,
-    multinomial,
     paper_coefficient,
     paper_final_form,
     ruin_series,
@@ -75,15 +72,12 @@ __all__ = [
     "bankroll_lattice_crosscheck",
     "calibrate",
     "compare_methods",
-    "distance_for_loss_level",
     "exact_coefficient",
-    "expected_time_censored_dp",
     "expected_time_classical",
     "expected_time_paper",
     "generalized_distance",
     "lattice_distance",
     "model_mean",
-    "multinomial",
     "paper_coefficient",
     "paper_final_form",
     "rebalance",

@@ -83,14 +83,15 @@ def _reject_percent(text: str) -> str:
     return text
 
 
+def _percent_hint(value: float) -> str:
+    return f" (did you mean {value / 100.0}?)" if 1.0 < value <= 100.0 else ""
+
+
 def _probability(text: str) -> float:
     value = float(_reject_percent(text))
     if not 0.0 <= value <= 1.0:
-        hint = ""
-        if 1.0 < value <= 100.0:
-            hint = f" (did you mean {value / 100.0}?)"
         raise argparse.ArgumentTypeError(
-            f"{text!r}: probability must be in [0, 1]{hint}"
+            f"{text!r}: probability must be in [0, 1]{_percent_hint(value)}"
         )
     return value
 
@@ -98,11 +99,9 @@ def _probability(text: str) -> float:
 def _loss_level(text: str) -> float:
     value = float(_reject_percent(text))
     if not 0.0 < value < 1.0:
-        hint = ""
-        if 1.0 < value <= 100.0:
-            hint = f" (did you mean {value / 100.0}?)"
         raise argparse.ArgumentTypeError(
-            f"{text!r}: loss level must be a strict fraction in (0, 1){hint}"
+            f"{text!r}: loss level must be a strict fraction in (0, 1)"
+            f"{_percent_hint(value)}"
         )
     return value
 
@@ -352,15 +351,13 @@ def _cmd_exact(args: argparse.Namespace) -> CommandOutput:
 def _resolve_sim_config(args: argparse.Namespace) -> SimConfig:
     if args.loss_level is not None and args.distance is not None:
         raise DomainError("give either --distance or --loss-level, not both")
+    distance = args.distance
     if args.loss_level is not None:
         model = TrialModel(p_gain=args.p, gain_factor=1.0, loss_factor=args.loss_factor)
-        ruin = calibrate(model, args.loss_level)
-        return SimConfig(model, ruin, args.trials, args.max_steps, args.seed, args.workers)
-    if args.distance is None:
+        distance = calibrate(model, args.loss_level).distance
+    if distance is None:
         raise DomainError("one of --distance or --loss-level is required")
-    return SimConfig.for_lattice(
-        args.p, args.distance, args.trials, args.max_steps, args.seed, args.workers
-    )
+    return SimConfig(args.p, distance, args.trials, args.max_steps, args.seed, args.workers)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> CommandOutput:
@@ -368,7 +365,7 @@ def _cmd_simulate(args: argparse.Namespace) -> CommandOutput:
     result = simulate(config, progress=_progress_printer("simulate"))
     mean = result.mean_time_to_ruin
     human = [
-        f"p={_fmt(config.model.p_gain)} distance={config.ruin.distance} "
+        f"p={_fmt(config.p)} distance={config.distance} "
         f"trials={config.trials} max_steps={config.max_steps} seed={config.seed}",
         f"ruined    {result.ruined}",
         f"censored  {result.censored}",
@@ -426,13 +423,11 @@ def _cmd_transform(args: argparse.Namespace) -> CommandOutput:
 
 
 def _cmd_compare(args: argparse.Namespace) -> CommandOutput:
-    budget = SimConfig.for_lattice(
+    config = SimConfig(
         args.p, args.distance, args.trials, args.max_steps, args.seed, args.workers
     )
     comparison = compare_methods(
-        args.p,
-        args.distance,
-        budget,
+        config,
         max_gains=args.max_gains,
         dp_horizon=args.horizon,
         progress=_progress_printer("compare"),

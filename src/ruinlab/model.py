@@ -64,20 +64,11 @@ class RuinSpec:
     implied_loss_level: float
 
 
-def distance_for_loss_level(loss_level: float) -> float:
-    """Number of halvings needed to reach ``loss_level``.
-
-    Returns ``log(loss_level) / log(1/2)``, which is strictly decreasing
-    in ``loss_level``.
-    """
-    _check_loss_level(loss_level)
-    return math.log(loss_level) / math.log(0.5)
-
-
 def generalized_distance(loss_level: float, loss_factor: float) -> float:
-    """Like :func:`distance_for_loss_level` for an arbitrary loss factor.
+    """Number of losses of size ``loss_factor`` needed to reach ``loss_level``.
 
-    Returns ``log(loss_level) / log(1 + loss_factor)``.
+    Returns ``log(loss_level) / log(1 + loss_factor)``, which is strictly
+    decreasing in ``loss_level``; a loss factor of -0.5 counts halvings.
     """
     _check_loss_level(loss_level)
     if not -1.0 < loss_factor < 0.0:

@@ -171,15 +171,3 @@ def expected_time_classical(p: float, d: int) -> float:
     if p >= 0.5:
         return math.inf
     return d / (1.0 - 2.0 * p)
-
-
-def expected_time_censored_dp(p: float, d: int, horizon: int) -> float:
-    """Mean ruin time conditioned on ruin within ``horizon``, from the oracle."""
-    result = ruin_probability_dp(p, d, horizon)
-    if result.ruin_probability_within_horizon <= 0.0:
-        raise DomainError(
-            f"no ruin mass within horizon {horizon} (p={p}, d={d}); "
-            f"censored mean undefined"
-        )
-    return result.expected_time_censored
-

@@ -33,23 +33,6 @@ CoefficientMode = Literal["paper", "exact"]
 _LOG_SPACE_PATH_LENGTH = 300
 
 
-def multinomial(n: int, parts: list[int]) -> int:
-    """Exact multinomial coefficient ``n! / (k_1! k_2! ... k_m!)``.
-
-    ``parts`` must be nonnegative and sum to ``n``.
-    """
-    if n < 0:
-        raise DomainError(f"n must be nonnegative, got {n}")
-    if any(k < 0 for k in parts):
-        raise DomainError(f"parts must be nonnegative, got {parts}")
-    if sum(parts) != n:
-        raise DomainError(f"parts {parts} do not sum to n = {n}")
-    result = math.factorial(n)
-    for k in parts:
-        result //= math.factorial(k)
-    return result
-
-
 def paper_coefficient(d: int, n_gains: int) -> int:
     """Pencil-and-paper path count for the series term with ``n_gains`` gains.
 

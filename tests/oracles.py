@@ -73,16 +73,6 @@ def ruin_time_distribution_by_enumeration(
     return masses
 
 
-def pascal_binomial(n: int, k: int) -> int:
-    """C(n, k) from the Pascal-triangle recurrence."""
-    if k < 0 or k > n:
-        return 0
-    row = [1]
-    for _ in range(n):
-        row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
-    return row[k]
-
-
 def series_cumulative_by_rational_sum(
     p: Fraction, d: int, max_gains: int, counts: list[int]
 ) -> Fraction:

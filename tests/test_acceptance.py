@@ -109,7 +109,7 @@ def test_criterion_05_certain_ruin_at_fair_odds():
 def test_criterion_06_monte_carlo_vs_closed_form():
     target = (0.4 / 0.6) ** 3
     start = time.perf_counter()
-    single = simulate(SimConfig.for_lattice(0.6, 3, 1_000_000, 100_000, seed=20130815))
+    single = simulate(SimConfig(0.6, 3, 1_000_000, 100_000, seed=20130815))
     single_elapsed = time.perf_counter() - start
     deviation = abs(single.ruin_frequency - target)
     assert deviation <= 4 * single.stderr
@@ -117,7 +117,7 @@ def test_criterion_06_monte_carlo_vs_closed_form():
 
     start = time.perf_counter()
     parallel = simulate(
-        SimConfig.for_lattice(0.6, 3, 1_000_000, 100_000, seed=20130815, workers=8)
+        SimConfig(0.6, 3, 1_000_000, 100_000, seed=20130815, workers=8)
     )
     parallel_elapsed = time.perf_counter() - start
     assert parallel == single
@@ -132,8 +132,7 @@ def test_criterion_06_monte_carlo_vs_closed_form():
 
 
 def test_criterion_07_expected_time_benchmark():
-    budget = SimConfig.for_lattice(0.4, 3, 1_000_000, 10_000, seed=5150)
-    comparison = compare_methods(0.4, 3, budget)
+    comparison = compare_methods(SimConfig(0.4, 3, 1_000_000, 10_000, seed=5150))
     mean, std = comparison.simulation.time_stats()
     se = std / math.sqrt(comparison.simulation.ruined)
     assert abs(mean - 15.0) <= 3 * se
@@ -186,7 +185,7 @@ def test_criterion_09_multiplicative_lattice_equivalence():
 def test_criterion_10_ruin_time_parity():
     checked = 0
     for p, d, seed in [(0.5, 2, 1), (0.35, 3, 2), (0.6, 4, 3), (0.55, 1, 4)]:
-        result = simulate(SimConfig.for_lattice(p, d, 40_000, 2000, seed=seed))
+        result = simulate(SimConfig(p, d, 40_000, 2000, seed=seed))
         assert result.time_histogram
         for step in result.time_histogram:
             assert (step - d) % 2 == 0

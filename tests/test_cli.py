@@ -169,6 +169,19 @@ def test_simulate_rejects_conflicting_barrier_flags(capsys):
     assert "not both" in err
 
 
+@pytest.mark.parametrize("distance", [1075, 2000])
+def test_simulate_and_compare_at_distances_past_double_halvings(capsys, distance):
+    # 0.5**distance underflows to 0, so no halving loss level names these barriers
+    argv = ("--p", "0.55", "--distance", str(distance), "--trials", "100",
+            "--max-steps", "5000", "--seed", "1")
+    payload = run_json(capsys, "simulate", *argv)
+    assert payload["manifest"]["parameters"]["distance"] == distance
+    assert payload["result"]["censored"] == 100
+    payload = run_json(capsys, "compare", *argv)
+    assert payload["result"]["distance"] == distance
+    assert 0.0 < payload["result"]["ruin_reference"] < 1e-100
+
+
 def test_simulate_replaying_manifest_is_bit_identical(capsys):
     argv = [
         "simulate", "--p", "0.45", "--distance", "2", "--trials", "5000",

@@ -1,11 +1,12 @@
 """Distance calibration: log-scale reduction of the multiplicative problem."""
+import math
+
 import pytest
 
 from ruinlab import (
     DomainError,
     TrialModel,
     calibrate,
-    distance_for_loss_level,
     generalized_distance,
     lattice_distance,
 )
@@ -17,9 +18,9 @@ LOG_01_OVER_LOG_075 = 8.003922779651094
 
 
 def test_distance_examples():
-    assert distance_for_loss_level(0.25) == pytest.approx(2.0, abs=1e-12)
-    assert distance_for_loss_level(0.5) == pytest.approx(1.0, abs=1e-12)
-    assert distance_for_loss_level(0.1) == pytest.approx(LOG_01_OVER_LOG_05, abs=1e-12)
+    assert generalized_distance(0.25, -0.5) == pytest.approx(2.0, abs=1e-12)
+    assert generalized_distance(0.5, -0.5) == pytest.approx(1.0, abs=1e-12)
+    assert generalized_distance(0.1, -0.5) == pytest.approx(LOG_01_OVER_LOG_05, abs=1e-12)
 
 
 def test_generalized_distance_examples():
@@ -34,15 +35,14 @@ def test_generalized_distance_examples():
 
 
 def test_generalized_distance_matches_halving_rule():
+    # log2(1/x) halvings reach loss level x
     for x in (0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
-        assert generalized_distance(x, -0.5) == pytest.approx(
-            distance_for_loss_level(x), abs=1e-12
-        )
+        assert generalized_distance(x, -0.5) == pytest.approx(-math.log2(x), abs=1e-12)
 
 
 def test_distance_monotonicity():
     levels = [0.001, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99]
-    distances = [distance_for_loss_level(x) for x in levels]
+    distances = [generalized_distance(x, -0.5) for x in levels]
     assert all(a > b for a, b in zip(distances, distances[1:]))
 
 
@@ -50,7 +50,7 @@ def test_round_trip_integer_distances():
     model = TrialModel(p_gain=0.5, gain_factor=1.0, loss_factor=-0.5)
     for d in range(1, 13):
         level = 0.5**d
-        assert distance_for_loss_level(level) == pytest.approx(d, abs=1e-12)
+        assert generalized_distance(level, -0.5) == pytest.approx(d, abs=1e-12)
         assert calibrate(model, level).distance == d
 
 
@@ -106,8 +106,6 @@ def test_lattice_distance_snap_guard():
 
 @pytest.mark.parametrize("bad_level", [0.0, 1.0, -0.1, 1.5, 2.0])
 def test_loss_level_domain_errors(bad_level):
-    with pytest.raises(DomainError):
-        distance_for_loss_level(bad_level)
     with pytest.raises(DomainError):
         generalized_distance(bad_level, -0.5)
 

@@ -1,5 +1,6 @@
 """Simulation engine: determinism, statistics against the DP oracle, and
 the bankroll/lattice equivalence."""
+import dataclasses
 import json
 import math
 
@@ -19,7 +20,7 @@ from ruinlab.montecarlo import BATCH_TRIALS, _batch_sizes
 
 
 def lattice_config(p, d, trials, max_steps, seed, workers=1):
-    return SimConfig.for_lattice(p, d, trials, max_steps, seed, workers)
+    return SimConfig(p, d, trials, max_steps, seed, workers)
 
 
 def test_deterministic_loss_run():
@@ -138,20 +139,28 @@ def test_multiplicative_equivalence_with_shared_bits():
 
 
 def test_config_validation():
-    model = TrialModel(p_gain=0.5, gain_factor=1.0, loss_factor=-0.5)
-    from ruinlab import calibrate
+    with pytest.raises(DomainError):
+        SimConfig(0.5, 2, trials=0, max_steps=100, seed=1)
+    with pytest.raises(DomainError):
+        SimConfig(0.5, 2, trials=10, max_steps=1, seed=1)  # below distance
+    with pytest.raises(DomainError):
+        SimConfig(0.5, 2, trials=10, max_steps=100, seed=-1)
+    with pytest.raises(DomainError):
+        SimConfig(0.5, 2, trials=10, max_steps=100, seed=2**64)
+    with pytest.raises(DomainError):
+        SimConfig(0.5, 2, trials=10, max_steps=100, seed=1, workers=0)
+    for p in (-0.1, 1.5, math.nan):
+        with pytest.raises(DomainError, match="p must be in"):
+            SimConfig(p, 2, trials=10, max_steps=100, seed=1)
+    for d in (0, -3, 2.5, math.inf):
+        with pytest.raises(DomainError, match="distance must be"):
+            SimConfig(0.5, d, trials=10, max_steps=100, seed=1)
 
-    ruin = calibrate(model, 0.25)
-    with pytest.raises(DomainError):
-        SimConfig(model, ruin, trials=0, max_steps=100, seed=1)
-    with pytest.raises(DomainError):
-        SimConfig(model, ruin, trials=10, max_steps=1, seed=1)  # below distance
-    with pytest.raises(DomainError):
-        SimConfig(model, ruin, trials=10, max_steps=100, seed=-1)
-    with pytest.raises(DomainError):
-        SimConfig(model, ruin, trials=10, max_steps=100, seed=2**64)
-    with pytest.raises(DomainError):
-        SimConfig(model, ruin, trials=10, max_steps=100, seed=1, workers=0)
+
+def test_config_has_only_the_fields_simulate_reads():
+    names = [f.name for f in dataclasses.fields(SimConfig)]
+    assert names == ["p", "distance", "trials", "max_steps", "seed", "workers"]
+    assert SimConfig.for_lattice(0.6, 3, 10, 100, 42, 2) == SimConfig(0.6, 3, 10, 100, 42, 2)
 
 
 def test_batch_sizes_cover_trials_exactly():
@@ -173,16 +182,14 @@ def test_simresult_serialization():
 
 
 def test_compare_methods_all_zero_when_gains_certain():
-    budget = lattice_config(1.0, 5, 1000, 1000, seed=8)
-    comparison = compare_methods(1.0, 5, budget)
+    comparison = compare_methods(lattice_config(1.0, 5, 1000, 1000, seed=8))
     for estimate in comparison.ruin_estimates:
         if estimate.valid and estimate.value is not None:
             assert estimate.value == pytest.approx(0.0, abs=1e-15), estimate.method
 
 
 def test_compare_methods_fair_odds_rows():
-    budget = lattice_config(0.5, 2, 20_000, 50_000, seed=31)
-    comparison = compare_methods(0.5, 2, budget, max_gains=200)
+    comparison = compare_methods(lattice_config(0.5, 2, 20_000, 50_000, seed=31), max_gains=200)
     rows = {e.method: e for e in comparison.ruin_estimates}
     assert rows["closed_form_classical"].value == 1.0
     assert rows["paper_final_form"].value == pytest.approx(0.0625)
@@ -197,8 +204,7 @@ def test_compare_methods_fair_odds_rows():
 
 
 def test_compare_methods_drifted_case_agrees():
-    budget = lattice_config(0.6, 3, 50_000, 20_000, seed=12)
-    comparison = compare_methods(0.6, 3, budget)
+    comparison = compare_methods(lattice_config(0.6, 3, 50_000, 20_000, seed=12))
     rows = {e.method: e for e in comparison.ruin_estimates}
     assert rows["dp"].value == pytest.approx(8 / 27, abs=1e-6)
     assert rows["series_exact"].abs_dev_from_dp < 1e-5
@@ -209,10 +215,3 @@ def test_compare_methods_drifted_case_agrees():
     assert time_rows["paper_estimator"].value == pytest.approx(4.551020408163265)
     json.dumps(comparison.to_dict())
 
-
-def test_compare_methods_rejects_mismatched_budget():
-    budget = lattice_config(0.5, 2, 100, 100, seed=1)
-    with pytest.raises(DomainError):
-        compare_methods(0.6, 2, budget)
-    with pytest.raises(DomainError):
-        compare_methods(0.5, 3, budget)

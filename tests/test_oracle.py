@@ -6,7 +6,6 @@ import pytest
 
 from ruinlab import (
     DomainError,
-    expected_time_censored_dp,
     expected_time_classical,
     expected_time_paper,
     ruin_probability_closed_form,
@@ -198,7 +197,9 @@ def test_expected_time_paper_disagrees_with_truth_at_p_zero():
     # it is reported in comparisons, never asserted against the oracles
     d = 5
     assert expected_time_paper(0.0, d) == pytest.approx(2 * (d - 1))
-    assert expected_time_censored_dp(0.0, d, 10) == pytest.approx(float(d), abs=1e-12)
+    assert ruin_probability_dp(0.0, d, 10).expected_time_censored == pytest.approx(
+        float(d), abs=1e-12
+    )
 
 
 def test_expected_time_classical():
@@ -209,12 +210,8 @@ def test_expected_time_classical():
 
 
 def test_expected_time_censored_dp_matches_classical_drift():
-    assert expected_time_censored_dp(0.4, 3, 10_000) == pytest.approx(15.0, abs=0.01)
-
-
-def test_expected_time_censored_dp_error_without_ruin_mass():
-    with pytest.raises(DomainError):
-        expected_time_censored_dp(1.0, 2, 50)
+    mean = ruin_probability_dp(0.4, 3, 10_000).expected_time_censored
+    assert mean == pytest.approx(15.0, abs=0.01)
 
 
 def test_ruin_times_share_distance_parity():

@@ -12,7 +12,6 @@ from ruinlab import (
     approx_arith_geometric,
     approx_simplified,
     exact_coefficient,
-    multinomial,
     paper_coefficient,
     paper_final_form,
     ruin_probability_closed_form,
@@ -24,37 +23,8 @@ from oracles import (
     LOSS,
     enumerate_first_passage_paths,
     first_passage_count,
-    pascal_binomial,
     series_cumulative_by_rational_sum,
 )
-
-
-# ----------------------------------------------------------------------
-# multinomial
-# ----------------------------------------------------------------------
-
-
-def test_multinomial_examples():
-    assert multinomial(4, [2, 2]) == 6
-    assert multinomial(6, [3, 3]) == 20  # 6!/(3! 3!)
-    assert multinomial(5, [5]) == 1
-    assert multinomial(0, []) == 1
-    assert multinomial(10, [2, 3, 5]) == 2520
-
-
-def test_multinomial_matches_pascal_recurrence():
-    for n in range(41):
-        for k in range(n + 1):
-            assert multinomial(n, [k, n - k]) == pascal_binomial(n, k)
-
-
-def test_multinomial_rejects_bad_parts():
-    with pytest.raises(DomainError):
-        multinomial(4, [2, 1])
-    with pytest.raises(DomainError):
-        multinomial(4, [5, -1])
-    with pytest.raises(DomainError):
-        multinomial(-1, [])
 
 
 # ----------------------------------------------------------------------
