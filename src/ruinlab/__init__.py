@@ -49,7 +49,7 @@ from .transform import (
     rebalanced_ruin_inputs,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "AbsorptionResult",

@@ -20,7 +20,7 @@ from typing import Sequence
 from . import __version__
 from .errors import DomainError, RuinlabError, ValidityError
 from .model import TrialModel, calibrate
-from .montecarlo import SimConfig, compare_methods, simulate
+from .montecarlo import SimConfig, compare_methods, engine_record, simulate
 from .oracle import ruin_probability_dp
 from .series import ruin_series
 from .transform import rebalance, rebalanced_ruin_inputs
@@ -45,6 +45,7 @@ class CommandOutput:
     human: list[str]
     csv_header: tuple[str, ...]
     csv_rows: list[tuple]
+    engine: dict | None = None  # Monte Carlo commands: see engine_record
 
 
 def entry_point() -> None:
@@ -117,7 +118,10 @@ def _loss_factor(text: str) -> float:
 
 
 def _signed_fraction(text: str) -> float:
-    return float(_reject_percent(text))
+    value = float(_reject_percent(text))
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r}: must be a finite number")
+    return value
 
 
 def _positive_int(text: str) -> int:
@@ -375,7 +379,7 @@ def _cmd_simulate(args: argparse.Namespace) -> CommandOutput:
         f"distinct ruin times  {len(result.time_histogram)}",
     ]
     rows = [(t, c) for t, c in sorted(result.time_histogram.items())]
-    return CommandOutput(result.to_dict(), human, ("step", "count"), rows)
+    return CommandOutput(result.to_dict(), human, ("step", "count"), rows, engine_record())
 
 
 def _cmd_transform(args: argparse.Namespace) -> CommandOutput:
@@ -461,7 +465,7 @@ def _cmd_compare(args: argparse.Namespace) -> CommandOutput:
          _csv_cell(e.abs_dev_from_dp), e.note)
         for e in comparison.time_estimates
     ]
-    return CommandOutput(comparison.to_dict(), human, header, rows)
+    return CommandOutput(comparison.to_dict(), human, header, rows, engine_record())
 
 
 def _cmd_demo(args: argparse.Namespace) -> CommandOutput:
@@ -509,22 +513,25 @@ def _cmd_demo(args: argparse.Namespace) -> CommandOutput:
 # ----------------------------------------------------------------------
 
 
-def _manifest(args: argparse.Namespace) -> dict:
+def _manifest(args: argparse.Namespace, output: CommandOutput) -> dict:
     parameters = {
         key: value
         for key, value in sorted(vars(args).items())
         if key not in ("handler", "command")
     }
-    return {
+    manifest = {
         "command": args.command,
         "parameters": parameters,
         "tool_version": __version__,
         "seed": getattr(args, "seed", None),
     }
+    if output.engine is not None:
+        manifest["engine"] = output.engine
+    return manifest
 
 
 def _emit(args: argparse.Namespace, output: CommandOutput) -> None:
-    manifest = _manifest(args)
+    manifest = _manifest(args, output)
     if args.format == "json":
         print(json.dumps({"manifest": manifest, "result": output.result}))
     elif args.format == "csv":

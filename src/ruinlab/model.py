@@ -23,7 +23,7 @@ _SNAP = 1e-9
 class TrialModel:
     """Per-trial gain probability and multiplicative move sizes.
 
-    ``gain_factor`` is a signed fraction > 0 (+1.00 means a 100% gain);
+    ``gain_factor`` is a finite signed fraction > 0 (+1.00 means a 100% gain);
     ``loss_factor`` is a signed fraction in (-1, 0) (-0.50 means a 50%
     loss).  A single loss can therefore never wipe out the bankroll.
     """
@@ -35,8 +35,10 @@ class TrialModel:
     def __post_init__(self) -> None:
         if not 0.0 <= self.p_gain <= 1.0:
             raise DomainError(f"p_gain must be in [0, 1], got {self.p_gain}")
-        if not self.gain_factor > 0.0:
-            raise DomainError(f"gain_factor must be > 0, got {self.gain_factor}")
+        if not 0.0 < self.gain_factor < math.inf:
+            raise DomainError(
+                f"gain_factor must be finite and > 0, got {self.gain_factor}"
+            )
         if not -1.0 < self.loss_factor < 0.0:
             raise DomainError(
                 f"loss_factor must be in (-1, 0), got {self.loss_factor}"

@@ -17,6 +17,7 @@ original (adjusted gain probability below one half, small distances).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import DomainError, InfeasibleTargetError
@@ -101,6 +102,12 @@ def rebalance(
     rather than clamping (a clamped probability would silently change the
     drift, defeating the whole point of the transform).
     """
+    for name, value in (
+        ("target_gain_factor", target_gain_factor),
+        ("target_loss_factor", target_loss_factor),
+    ):
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
     if not target_gain_factor > target_loss_factor:
         raise DomainError(
             f"target_gain_factor must exceed target_loss_factor, got "

@@ -182,6 +182,16 @@ def test_simulate_and_compare_at_distances_past_double_halvings(capsys, distance
     assert 0.0 < payload["result"]["ruin_reference"] < 1e-100
 
 
+def test_simulate_past_int64_names_the_horizon(capsys):
+    # used to exit 2 with "Python int too large to convert to C long"
+    big = str(10**20)
+    code, out, err = run_cli(capsys, "simulate", "--p", "0.5", "--distance", big,
+                             "--max-steps", big, "--trials", "10", "--seed", "1")
+    assert code == 2
+    assert out == ""
+    assert "max_steps must be <= 2**62" in err
+
+
 def test_simulate_replaying_manifest_is_bit_identical(capsys):
     argv = [
         "simulate", "--p", "0.45", "--distance", "2", "--trials", "5000",
@@ -270,6 +280,23 @@ def test_transform_infeasible_exit_code(capsys):
     assert "cannot reproduce" in err
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e400"])
+@pytest.mark.parametrize(
+    "flag", ["gain-factor", "target-gain-factor", "target-loss-factor"]
+)
+def test_transform_rejects_non_finite_factors(capsys, flag, value):
+    # --target-gain-factor inf used to exit 0 with p_loss_adjusted nan, and
+    # --gain-factor inf to exit 3 with a misleading infeasible-mean message
+    legs = {"gain-factor": "0.75", "target-gain-factor": "0.75",
+            "target-loss-factor": "-0.25", flag: value}
+    argv = ["transform", "--p", "0.5", "--loss-factor", "-0.75"]
+    argv += [f"--{name}={text}" for name, text in legs.items()]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"argument --{flag}" in err
+
+
 def test_demo_states(capsys):
     payload = run_json(capsys, "demo")
     states = payload["result"]["states"]
@@ -332,6 +359,29 @@ def test_json_key_set_depends_only_on_command(capsys):
     s2 = run_json(capsys, "simulate", "--p", "1", "--distance", "3",
                   "--trials", "20", "--seed", "9", "--workers", "2")
     assert set(s1["result"]) == set(s2["result"])
+
+
+def test_engine_record_only_in_monte_carlo_manifests(capsys):
+    import numpy as np
+
+    engine = {"bit_generator": "Philox", "batch_trials": 8192, "numpy": np.__version__}
+    for argv in (
+        ("simulate", "--p", "0.5", "--distance", "2", "--trials", "10", "--seed", "1"),
+        ("compare", "--p", "0.5", "--distance", "2", "--trials", "10",
+         "--max-steps", "50", "--seed", "1"),
+    ):
+        manifest = run_json(capsys, *argv)["manifest"]
+        assert manifest["engine"] == engine
+        assert manifest["tool_version"] == "0.2.0"
+    for argv in (
+        ("calibrate", "--loss-level", "0.25"),
+        ("transform", "--p", "0.5", "--gain-factor", "0.75", "--loss-factor",
+         "-0.75", "--target-gain-factor", "0.75", "--target-loss-factor", "-0.25"),
+        ("series", "--p", "0.5", "--distance", "2", "--max-gains", "3"),
+        ("exact", "--p", "0.5", "--distance", "2", "--horizon", "10"),
+    ):
+        manifest = run_json(capsys, *argv)["manifest"]
+        assert set(manifest) == {"command", "parameters", "tool_version", "seed"}
 
 
 def test_manifest_echoes_defaults(capsys):

@@ -129,6 +129,12 @@ def test_trial_model_validation():
     assert model.p_loss == pytest.approx(0.3)
 
 
+@pytest.mark.parametrize("factor", [math.inf, -math.inf, math.nan, float("1e400")])
+def test_trial_model_rejects_non_finite_gain_factor(factor):
+    with pytest.raises(DomainError, match="gain_factor"):
+        TrialModel(p_gain=0.5, gain_factor=factor, loss_factor=-0.5)
+
+
 def test_calibrate_runtime_is_trivial():
     import time
 

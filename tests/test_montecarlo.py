@@ -126,6 +126,48 @@ def test_block_skip_regime_still_exact():
     assert result.time_histogram == {100: 500}
 
 
+def test_ruin_time_histogram_matches_dp_where_blocks_fire():
+    # drift away from the barrier: most surviving trials leave the step
+    # phase for binomial blocks, and some of them come back and ruin.
+    # Each ruin-time bin expecting >= 10 trials, the pooled rarer bins and
+    # the censored count are each within 5 sigma of the DP distribution.
+    p, d, max_steps, trials = 0.55, 2, 2000, 200_000
+    result = simulate(lattice_config(p, d, trials, max_steps, seed=55))
+    dp = ruin_probability_dp(p, d, max_steps, keep_distribution=True)
+    bins = [(result.time_histogram.get(t, 0), mass)
+            for t, mass in dp.ruin_time_distribution.items()]
+    assert set(result.time_histogram) <= set(dp.ruin_time_distribution)
+    rare = [(count, mass) for count, mass in bins if trials * mass < 10]
+    checks = [bin for bin in bins if trials * bin[1] >= 10]
+    checks.append((sum(c for c, _ in rare), sum(m for _, m in rare)))
+    checks.append((result.censored, dp.survival_mass))
+    assert len(checks) > 100
+    for count, mass in checks:
+        sigma = math.sqrt(trials * mass * (1.0 - mass))
+        assert abs(count - trials * mass) <= 5 * sigma, (count, trials * mass)
+
+
+def test_censoring_is_exact_at_an_odd_horizon():
+    # 1001 is a multiple of no chunk length, and at p = 1/2 near and far
+    # trials share every batch; ruin at step 1001 itself is possible (d odd)
+    p, d, max_steps, trials = 0.5, 11, 1001, 200_000
+    result = simulate(lattice_config(p, d, trials, max_steps, seed=1001))
+    assert result.ruined + result.censored == trials
+    assert sum(result.time_histogram.values()) == result.ruined
+    for step in result.time_histogram:
+        assert d <= step <= max_steps
+        assert (step - d) % 2 == 0
+    dp = ruin_probability_dp(p, d, max_steps, keep_distribution=True)
+    late = 900  # the last ~100 steps before the horizon
+    for count, mass in (
+        (result.ruined, dp.ruin_probability_within_horizon),
+        (sum(c for t, c in result.time_histogram.items() if t > late),
+         sum(m for t, m in dp.ruin_time_distribution.items() if t > late)),
+    ):
+        sigma = math.sqrt(trials * mass * (1.0 - mass))
+        assert abs(count - trials * mass) <= 5 * sigma, (count, trials * mass)
+
+
 def test_multiplicative_equivalence_with_shared_bits():
     model = TrialModel(p_gain=0.5, gain_factor=1.0, loss_factor=-0.5)
     lattice_steps, bankroll_steps = bankroll_lattice_crosscheck(
@@ -155,6 +197,12 @@ def test_config_validation():
     for d in (0, -3, 2.5, math.inf):
         with pytest.raises(DomainError, match="distance must be"):
             SimConfig(0.5, d, trials=10, max_steps=100, seed=1)
+
+
+def test_config_rejects_horizons_past_int64_block_arithmetic():
+    SimConfig(1.0, 2**62, trials=1, max_steps=2**62, seed=1)
+    with pytest.raises(DomainError, match="max_steps must be <= 2\\*\\*62"):
+        SimConfig(0.5, 2, trials=1, max_steps=2**62 + 1, seed=1)
 
 
 def test_config_has_only_the_fields_simulate_reads():

@@ -108,6 +108,15 @@ def test_dp_large_distance_equals_step_dp_oracle():
     assert result.ruin_probability_within_horizon == pytest.approx(ruin, abs=1e-10)
 
 
+def test_ruin_probability_never_exceeds_one():
+    # the masses sum to 1 + 7e-13 here, because the float p + (1 - p) is not
+    # exactly 1; the ruin probability is clamped so survival stays >= 0
+    result = ruin_probability_dp(0.45, 1300, 100_000)
+    assert result.ruin_probability_within_horizon <= 1.0
+    assert 0.0 <= result.survival_mass
+    assert result.expected_time_censored == pytest.approx(13_000, rel=1e-3)
+
+
 def test_ruin_time_distribution_only_on_reachable_steps():
     # the step DP's saturating band top once leaked tiny masses onto steps
     # of the wrong parity (89,972 keys here, where 50,000 are reachable)

@@ -1,5 +1,6 @@
 """Probability rebalancing onto new gain/loss legs."""
 import json
+import math
 import random
 
 import pytest
@@ -84,6 +85,15 @@ def test_rebalance_infeasible_targets_raise_both_sides():
         rebalance(model, 0.5, 0.0)  # mean exactly on a leg
     with pytest.raises(DomainError):
         rebalance(model, -0.25, 0.75)  # legs out of order
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, float("1e400")])
+@pytest.mark.parametrize("field", ["target_gain_factor", "target_loss_factor"])
+def test_rebalance_rejects_non_finite_targets(field, value):
+    # an infinite target gain leg used to give p_loss_adjusted = nan
+    targets = {"target_gain_factor": 0.75, "target_loss_factor": -0.25, field: value}
+    with pytest.raises(DomainError, match=field):
+        rebalance(TrialModel(0.5, 0.75, -0.75), **targets)
 
 
 def test_rebalanced_ruin_inputs_worked_example():
