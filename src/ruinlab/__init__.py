@@ -7,6 +7,8 @@ reproducible Monte Carlo simulations, and rebalances probabilities for
 asymmetric gain/loss legs.
 """
 
+from importlib import import_module
+
 from .errors import DomainError, InfeasibleTargetError, RuinlabError, ValidityError
 from .model import (
     RuinSpec,
@@ -14,32 +16,6 @@ from .model import (
     calibrate,
     generalized_distance,
     lattice_distance,
-)
-from .montecarlo import (
-    MethodComparison,
-    MethodEstimate,
-    SimConfig,
-    SimResult,
-    bankroll_lattice_crosscheck,
-    compare_methods,
-    simulate,
-)
-from .oracle import (
-    AbsorptionResult,
-    expected_time_classical,
-    expected_time_paper,
-    ruin_probability_closed_form,
-    ruin_probability_dp,
-)
-from .series import (
-    SeriesReport,
-    SeriesTerm,
-    approx_arith_geometric,
-    approx_simplified,
-    exact_coefficient,
-    paper_coefficient,
-    paper_final_form,
-    ruin_series,
 )
 from .transform import (
     RebalancedRuinInputs,
@@ -51,40 +27,49 @@ from .transform import (
 
 __version__ = "0.2.0"
 
-__all__ = [
-    "AbsorptionResult",
+# The numeric engines import numpy, so they load on first use (PEP 562):
+# commands that only calibrate or transform start without it.
+_ENGINE_OF = {
+    **dict.fromkeys(
+        ("MethodComparison", "MethodEstimate", "SimConfig", "SimResult",
+         "bankroll_lattice_crosscheck", "compare_methods", "simulate"),
+        "montecarlo",
+    ),
+    **dict.fromkeys(
+        ("AbsorptionResult", "expected_time_classical", "expected_time_paper",
+         "ruin_probability_closed_form", "ruin_probability_dp"),
+        "oracle",
+    ),
+    **dict.fromkeys(
+        ("SeriesReport", "SeriesTerm", "approx_arith_geometric", "approx_simplified",
+         "exact_coefficient", "paper_coefficient", "paper_final_form", "ruin_series"),
+        "series",
+    ),
+}
+
+
+def __getattr__(name: str):
+    if name not in _ENGINE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_ENGINE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+__all__ = sorted([
     "DomainError",
     "InfeasibleTargetError",
-    "MethodComparison",
-    "MethodEstimate",
     "RebalancedRuinInputs",
     "RuinSpec",
     "RuinlabError",
-    "SeriesReport",
-    "SeriesTerm",
-    "SimConfig",
-    "SimResult",
     "TransformResult",
     "TrialModel",
     "ValidityError",
-    "approx_arith_geometric",
-    "approx_simplified",
-    "bankroll_lattice_crosscheck",
     "calibrate",
-    "compare_methods",
-    "exact_coefficient",
-    "expected_time_classical",
-    "expected_time_paper",
     "generalized_distance",
     "lattice_distance",
     "model_mean",
-    "paper_coefficient",
-    "paper_final_form",
     "rebalance",
     "rebalanced_ruin_inputs",
-    "ruin_probability_closed_form",
-    "ruin_probability_dp",
-    "ruin_series",
-    "simulate",
-    "__version__",
-]
+    *_ENGINE_OF,
+]) + ["__version__"]

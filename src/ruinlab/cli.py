@@ -15,15 +15,33 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from importlib import import_module
 from typing import Sequence
 
 from . import __version__
 from .errors import DomainError, RuinlabError, ValidityError
 from .model import TrialModel, calibrate
-from .montecarlo import SimConfig, compare_methods, engine_record, simulate
-from .oracle import ruin_probability_dp
-from .series import ruin_series
 from .transform import rebalance, rebalanced_ruin_inputs
+
+# The engines (series, oracle, montecarlo) import numpy, so the names used
+# from them load on first use (PEP 562).  Handlers call them as
+# ``_engines.<name>``, so a replacement bound here (a test double, a
+# tracer's wrapper) is what runs.
+_ENGINE_OF = {
+    "ruin_series": "series",
+    "ruin_probability_dp": "oracle",
+    **dict.fromkeys(("SimConfig", "compare_methods", "engine_record", "simulate"), "montecarlo"),
+}
+_engines = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    if name not in _ENGINE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_ENGINE_OF[name]}", __package__), name)
+    globals()[name] = value
+    return value
+
 
 FORMATS = ("human", "json", "csv")
 FORMAT_ENV_VAR = "RUINLAB_FORMAT"
@@ -294,7 +312,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> CommandOutput:
 
 
 def _cmd_series(args: argparse.Namespace) -> CommandOutput:
-    report = ruin_series(args.p, args.distance, args.max_gains, args.mode)
+    report = _engines.ruin_series(args.p, args.distance, args.max_gains, args.mode)
     tail = "inf" if math.isinf(report.tail_bound) else _fmt(report.tail_bound)
     human = [
         f"p={_fmt(args.p)} distance={args.distance} mode={args.mode}",
@@ -324,7 +342,7 @@ def _cmd_series(args: argparse.Namespace) -> CommandOutput:
 
 
 def _cmd_exact(args: argparse.Namespace) -> CommandOutput:
-    absorption = ruin_probability_dp(
+    absorption = _engines.ruin_probability_dp(
         args.p, args.distance, args.horizon, keep_distribution=args.distribution
     )
     result = {"p_gain": args.p, "distance": args.distance, **absorption.to_dict()}
@@ -361,12 +379,14 @@ def _resolve_sim_config(args: argparse.Namespace) -> SimConfig:
         distance = calibrate(model, args.loss_level).distance
     if distance is None:
         raise DomainError("one of --distance or --loss-level is required")
-    return SimConfig(args.p, distance, args.trials, args.max_steps, args.seed, args.workers)
+    return _engines.SimConfig(
+        args.p, distance, args.trials, args.max_steps, args.seed, args.workers
+    )
 
 
 def _cmd_simulate(args: argparse.Namespace) -> CommandOutput:
     config = _resolve_sim_config(args)
-    result = simulate(config, progress=_progress_printer("simulate"))
+    result = _engines.simulate(config, progress=_progress_printer("simulate"))
     mean = result.mean_time_to_ruin
     human = [
         f"p={_fmt(config.p)} distance={config.distance} "
@@ -379,7 +399,9 @@ def _cmd_simulate(args: argparse.Namespace) -> CommandOutput:
         f"distinct ruin times  {len(result.time_histogram)}",
     ]
     rows = [(t, c) for t, c in sorted(result.time_histogram.items())]
-    return CommandOutput(result.to_dict(), human, ("step", "count"), rows, engine_record())
+    return CommandOutput(
+        result.to_dict(), human, ("step", "count"), rows, _engines.engine_record()
+    )
 
 
 def _cmd_transform(args: argparse.Namespace) -> CommandOutput:
@@ -427,10 +449,10 @@ def _cmd_transform(args: argparse.Namespace) -> CommandOutput:
 
 
 def _cmd_compare(args: argparse.Namespace) -> CommandOutput:
-    config = SimConfig(
+    config = _engines.SimConfig(
         args.p, args.distance, args.trials, args.max_steps, args.seed, args.workers
     )
-    comparison = compare_methods(
+    comparison = _engines.compare_methods(
         config,
         max_gains=args.max_gains,
         dp_horizon=args.horizon,
@@ -439,33 +461,22 @@ def _cmd_compare(args: argparse.Namespace) -> CommandOutput:
     human = [
         f"p={_fmt(args.p)} distance={args.distance} "
         f"(DP reference horizon {comparison.dp_horizon})",
-        "",
-        "ruin probability:",
-        f"  {'method':<24} {'value':>14} {'|dev from DP|':>14}  note",
     ]
-    for e in comparison.ruin_estimates:
-        human.append(
-            f"  {e.method:<24} {_cell(e.value):>14} {_cell(e.abs_dev_from_dp):>14}"
-            f"  {e.note if e.valid else '[invalid] ' + e.note}"
-        )
-    human += ["", "expected time to ruin (censored):",
-              f"  {'method':<24} {'value':>14} {'|dev from DP|':>14}  note"]
-    for e in comparison.time_estimates:
-        human.append(
-            f"  {e.method:<24} {_cell(e.value):>14} {_cell(e.abs_dev_from_dp):>14}"
-            f"  {e.note if e.valid else '[invalid] ' + e.note}"
-        )
+    rows = []
+    for section, title, estimates in (
+        ("ruin_probability", "ruin probability:", comparison.ruin_estimates),
+        ("expected_time", "expected time to ruin (censored):", comparison.time_estimates),
+    ):
+        human += ["", title, f"  {'method':<24} {'value':>14} {'|dev from DP|':>14}  note"]
+        for e in estimates:
+            human.append(
+                f"  {e.method:<24} {_cell(e.value):>14} {_cell(e.abs_dev_from_dp):>14}"
+                f"  {e.note if e.valid else '[invalid] ' + e.note}"
+            )
+            rows.append((section, e.method, _csv_cell(e.value), e.valid,
+                         _csv_cell(e.abs_dev_from_dp), e.note))
     header = ("section", "method", "value", "valid", "abs_dev_from_dp", "note")
-    rows = [
-        ("ruin_probability", e.method, _csv_cell(e.value), e.valid,
-         _csv_cell(e.abs_dev_from_dp), e.note)
-        for e in comparison.ruin_estimates
-    ] + [
-        ("expected_time", e.method, _csv_cell(e.value), e.valid,
-         _csv_cell(e.abs_dev_from_dp), e.note)
-        for e in comparison.time_estimates
-    ]
-    return CommandOutput(comparison.to_dict(), human, header, rows, engine_record())
+    return CommandOutput(comparison.to_dict(), human, header, rows, _engines.engine_record())
 
 
 def _cmd_demo(args: argparse.Namespace) -> CommandOutput:

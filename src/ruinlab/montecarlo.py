@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -176,6 +175,7 @@ def simulate(config: SimConfig, progress: ProgressCallback | None = None) -> Sim
             if progress is not None:
                 progress(i + 1, len(args))
     else:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             chunk = max(1, len(args) // (config.workers * 4))
             outcomes = []

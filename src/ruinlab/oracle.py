@@ -114,7 +114,8 @@ def ruin_probability_dp(
 
     With ``keep_distribution`` the per-step absorbed mass is returned as a
     sparse ``{step: mass}`` map over the steps with nonzero mass, all of
-    which share the parity of ``d``.
+    which share the parity of ``d``; masses that sum past 1 are divided by
+    their sum, so the map agrees with the clamped probability.
     """
     check_walk(p, d)
     if horizon < d:
@@ -130,7 +131,8 @@ def ruin_probability_dp(
     distribution = None
     if keep_distribution:
         hit = np.flatnonzero(masses)
-        distribution = dict(zip(steps[hit].tolist(), masses[hit].tolist()))
+        kept = masses[hit] / total if total > 1.0 else masses[hit]
+        distribution = dict(zip(steps[hit].tolist(), kept.tolist()))
     return AbsorptionResult(
         ruin_probability, horizon, mean_time, 1.0 - ruin_probability, distribution
     )

@@ -5,7 +5,7 @@ from decimal import Decimal
 
 import pytest
 
-from ruinlab import exact_coefficient
+from ruinlab import exact_coefficient, ruin_probability_dp
 from ruinlab.cli import main
 
 
@@ -129,6 +129,16 @@ def test_exact_distribution_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[1] == "step,probability_mass"
     assert lines[2].startswith("2,0.25")
+
+
+@pytest.mark.parametrize("p", ["0", "0.3", "1"])
+def test_exact_horizon_of_exactly_the_distance(capsys, p):
+    payload = run_json(
+        capsys, "exact", "--p", p, "--distance", "7", "--horizon", "7"
+    )
+    expected = ruin_probability_dp(float(p), 7, 7).ruin_probability_within_horizon
+    assert payload["result"]["ruin_probability_within_horizon"] == expected
+    assert expected == pytest.approx((1.0 - float(p)) ** 7, rel=1e-13, abs=0)
 
 
 # ----------------------------------------------------------------------

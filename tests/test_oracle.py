@@ -12,6 +12,7 @@ from ruinlab import (
     ruin_probability_dp,
     ruin_series,
 )
+from ruinlab.oracle import first_passage_masses
 
 from oracles import (
     ruin_by_step_dp,
@@ -115,6 +116,62 @@ def test_ruin_probability_never_exceeds_one():
     assert result.ruin_probability_within_horizon <= 1.0
     assert 0.0 <= result.survival_mass
     assert result.expected_time_censored == pytest.approx(13_000, rel=1e-3)
+
+
+def test_ruin_time_distribution_agrees_with_the_clamped_probability():
+    # the raw masses sum to 1 + 7.3e-13 here; the kept masses are divided by
+    # that sum, so the --distribution rows add up to the headline 1.0
+    result = ruin_probability_dp(0.45, 1300, 100_000, keep_distribution=True)
+    assert result.ruin_probability_within_horizon == 1.0
+    assert abs(math.fsum(result.ruin_time_distribution.values()) - 1.0) <= 1e-15
+
+
+def test_ruin_time_distribution_below_one_is_the_raw_masses():
+    p, d, horizon = 0.55, 3, 2001
+    masses = first_passage_masses(p, d, horizon)
+    assert math.fsum(masses) < 1.0
+    result = ruin_probability_dp(p, d, horizon, keep_distribution=True)
+    raw = {d + 2 * n: m for n, m in enumerate(masses.tolist()) if m}
+    assert result.ruin_time_distribution == raw  # bit-identical, not rescaled
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 0.7, 1.0])
+@pytest.mark.parametrize("d", [1, 2, 7, 50, 300])
+def test_horizon_of_exactly_d_is_the_straight_loss_run(p, d):
+    # only the path of d straight losses ruins within d steps
+    q_d = (1.0 - p) ** d
+    dp = ruin_probability_dp(p, d, d)
+    series = ruin_series(p, d, 0)
+    assert dp.ruin_probability_within_horizon == series.cumulative
+    if p in (0.0, 0.5, 1.0):  # powers of two: the product is exact
+        assert dp.ruin_probability_within_horizon == q_d
+    else:
+        assert dp.ruin_probability_within_horizon == pytest.approx(q_d, rel=1e-13, abs=0)
+    assert dp.survival_mass == 1.0 - dp.ruin_probability_within_horizon
+
+
+@pytest.mark.parametrize(
+    "p, d, horizon",
+    [(0.6, 300, 20_000), (0.9, 300, 5_000)],  # about 1.49e-53 and 5.3e-287
+)
+def test_far_barrier_with_p_near_one_matches_the_closed_form(p, d, horizon):
+    expected = ruin_probability_closed_form(p, d)
+    assert 0.0 < expected
+    dp = ruin_probability_dp(p, d, horizon)
+    series = ruin_series(p, d, (horizon - d) // 2)
+    assert dp.ruin_probability_within_horizon == pytest.approx(expected, rel=1e-12, abs=0)
+    assert series.cumulative == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+def test_far_barrier_below_the_double_range_is_exactly_zero():
+    # (q/p)**d is about 1e-1200 at p = 0.999, d = 400
+    assert ruin_probability_closed_form(0.999, 400) == 0.0
+    dp = ruin_probability_dp(0.999, 400, 20_000)
+    series = ruin_series(0.999, 400, 10_000)
+    assert dp.ruin_probability_within_horizon == 0.0
+    assert dp.survival_mass == 1.0
+    assert series.cumulative == 0.0
+    assert all(term.probability == 0.0 for term in series.terms)
 
 
 def test_ruin_time_distribution_only_on_reachable_steps():
