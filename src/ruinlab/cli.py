@@ -61,8 +61,8 @@ DEMO_STATES = (("2011", 2.8), ("2012", 1.4), ("2013", 2.8))
 class CommandOutput:
     result: dict
     human: list[str]
-    csv_header: tuple[str, ...]
-    csv_rows: list[tuple]
+    header: tuple[str, ...]  # the CSV table
+    rows: list[tuple]
     engine: dict | None = None  # Monte Carlo commands: see engine_record
 
 
@@ -303,16 +303,15 @@ def _cmd_calibrate(args: argparse.Namespace) -> CommandOutput:
         f"distance (lattice)  {spec.distance}",
         f"implied loss level  {_fmt(spec.implied_loss_level)}",
     ]
-    header = ("loss_level", "loss_factor", "distance_exact", "distance", "implied_loss_level")
-    rows = [
-        (spec.loss_level, args.loss_factor, spec.distance_exact, spec.distance,
-         spec.implied_loss_level)
-    ]
-    return CommandOutput(result, human, header, rows)
+    return CommandOutput(result, human, tuple(result), [tuple(result.values())])
 
 
 def _cmd_series(args: argparse.Namespace) -> CommandOutput:
     report = _engines.ruin_series(args.p, args.distance, args.max_gains, args.mode)
+    result = _jsonable(report)
+    for encoded, term in zip(result["terms"], report.terms):
+        # exact decimal text: JSON readers would round a count past 2**53
+        encoded["path_count"] = term.path_count_text
     tail = "inf" if math.isinf(report.tail_bound) else _fmt(report.tail_bound)
     human = [
         f"p={_fmt(args.p)} distance={args.distance} mode={args.mode}",
@@ -333,19 +332,15 @@ def _cmd_series(args: argparse.Namespace) -> CommandOutput:
             f"{term.n_gains:>5} {count:>24} {term.probability:>16.9e} "
             f"{term.cumulative:>16.12f}"
         )
-    return CommandOutput(
-        report.to_dict(),
-        human,
-        ("N", "count", "probability", "cumulative"),
-        list(report.csv_rows()),
-    )
+    rows = [tuple(term.values()) for term in result["terms"]]
+    return CommandOutput(result, human, ("N", "count", "probability", "cumulative"), rows)
 
 
 def _cmd_exact(args: argparse.Namespace) -> CommandOutput:
     absorption = _engines.ruin_probability_dp(
         args.p, args.distance, args.horizon, keep_distribution=args.distribution
     )
-    result = {"p_gain": args.p, "distance": args.distance, **absorption.to_dict()}
+    result = {"p_gain": args.p, "distance": args.distance, **_jsonable(absorption)}
     mean = absorption.expected_time_censored
     human = [
         f"p={_fmt(args.p)} distance={args.distance} horizon={args.horizon}",
@@ -356,17 +351,13 @@ def _cmd_exact(args: argparse.Namespace) -> CommandOutput:
     ]
     if args.distribution:
         header = ("step", "probability_mass")
-        rows = [(t, m) for t, m in sorted((absorption.ruin_time_distribution or {}).items())]
+        rows = list(result["ruin_time_distribution"].items())
     else:
         header = (
             "p", "distance", "horizon", "ruin_probability_within_horizon",
             "survival_mass", "expected_time_censored",
         )
-        rows = [
-            (args.p, args.distance, args.horizon,
-             absorption.ruin_probability_within_horizon, absorption.survival_mass,
-             "" if math.isnan(mean) else mean)
-        ]
+        rows = [(args.p, *(result[key] for key in header[1:]))]
     return CommandOutput(result, human, header, rows)
 
 
@@ -398,10 +389,9 @@ def _cmd_simulate(args: argparse.Namespace) -> CommandOutput:
         f"{'undefined (no ruined trials)' if math.isnan(mean) else _fmt(mean)}",
         f"distinct ruin times  {len(result.time_histogram)}",
     ]
-    rows = [(t, c) for t, c in sorted(result.time_histogram.items())]
-    return CommandOutput(
-        result.to_dict(), human, ("step", "count"), rows, _engines.engine_record()
-    )
+    payload = _jsonable(result)
+    rows = list(payload["time_histogram"].items())
+    return CommandOutput(payload, human, ("step", "count"), rows, _engines.engine_record())
 
 
 def _cmd_transform(args: argparse.Namespace) -> CommandOutput:
@@ -414,8 +404,7 @@ def _cmd_transform(args: argparse.Namespace) -> CommandOutput:
         if args.loss_level is not None
         else None
     )
-    payload = result.to_dict()
-    payload["rebalanced"] = rebalanced.to_dict() if rebalanced else None
+    payload = {**_jsonable(result), "rebalanced": _jsonable(rebalanced)}
     human = [
         f"original: p_gain={_fmt(model.p_gain)} legs +{_fmt(model.gain_factor)}"
         f"/{_fmt(model.loss_factor)}  mean={_fmt(result.matched_mean)}",
@@ -473,10 +462,9 @@ def _cmd_compare(args: argparse.Namespace) -> CommandOutput:
                 f"  {e.method:<24} {_cell(e.value):>14} {_cell(e.abs_dev_from_dp):>14}"
                 f"  {e.note if e.valid else '[invalid] ' + e.note}"
             )
-            rows.append((section, e.method, _csv_cell(e.value), e.valid,
-                         _csv_cell(e.abs_dev_from_dp), e.note))
+            rows.append((section, e.method, e.value, e.valid, e.abs_dev_from_dp, e.note))
     header = ("section", "method", "value", "valid", "abs_dev_from_dp", "note")
-    return CommandOutput(comparison.to_dict(), human, header, rows, _engines.engine_record())
+    return CommandOutput(_jsonable(comparison), human, header, rows, _engines.engine_record())
 
 
 def _cmd_demo(args: argparse.Namespace) -> CommandOutput:
@@ -509,14 +497,8 @@ def _cmd_demo(args: argparse.Namespace) -> CommandOutput:
         "loss step): 2.8% fell to 1.4%, then recovered to 2.8%.  A loss level of",
         "0.25 from the 2011 start would sit two lattice steps down, at 0.7%.",
     ]
-    rows = [
-        (s["year"], s["yield_percent"], "" if s["move"] is None else s["move"],
-         s["lattice_position"])
-        for s in states
-    ]
-    return CommandOutput(
-        result, human, ("year", "yield_percent", "move", "lattice_position"), rows
-    )
+    rows = [tuple(s.values()) for s in states]
+    return CommandOutput(result, human, tuple(states[0]), rows)
 
 
 # ----------------------------------------------------------------------
@@ -549,8 +531,8 @@ def _emit(args: argparse.Namespace, output: CommandOutput) -> None:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         # manifest rides along as a comment line so the rows stay parseable
         print(f"# manifest: {json.dumps(manifest)}")
-        writer.writerow(output.csv_header)
-        writer.writerows(output.csv_rows)
+        writer.writerow(output.header)
+        writer.writerows(output.rows)
     else:
         for line in output.human:
             print(line)
@@ -574,5 +556,17 @@ def _cell(value: float | None) -> str:
     return "-" if value is None else f"{value:.9g}"
 
 
-def _csv_cell(value: float | None):
-    return "" if value is None else value
+def _jsonable(value):
+    """JSON form of an engine result: dataclass fields in declaration order,
+    tuples and lists as lists, dicts with sorted keys as strings, and
+    non-finite floats as ``None``.  The leaf checks come first: a
+    distribution or a series holds thousands of floats."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(item) for item in value]
+    if isinstance(value, dict):
+        return {str(key): _jsonable(item) for key, item in sorted(value.items())}
+    if hasattr(value, "__dataclass_fields__"):
+        return {name: _jsonable(getattr(value, name)) for name in value.__dataclass_fields__}
+    return value

@@ -73,8 +73,14 @@ def generalized_distance(loss_level: float, loss_factor: float) -> float:
     decreasing in ``loss_level``; a loss factor of -0.5 counts halvings.
     """
     _check_loss_level(loss_level)
-    if not -1.0 < loss_factor < 0.0:
-        raise DomainError(f"loss_factor must be in (-1, 0), got {loss_factor}")
+    # checked on the float factor whose log is the divisor (log, not log1p:
+    # the bankroll walk multiplies by this float); a factor within ~1.1e-16
+    # of 0 rounds it to 1.0, which loses nothing
+    if not 0.0 < 1.0 + loss_factor < 1.0:
+        raise DomainError(
+            f"loss_factor must be in (-1, 0) and shrink the bankroll in "
+            f"floating point (1 + loss_factor < 1), got {loss_factor}"
+        )
     return math.log(loss_level) / math.log(1.0 + loss_factor)
 
 

@@ -21,6 +21,7 @@ horizon is impossible.
 from __future__ import annotations
 
 import math
+import os
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
@@ -66,7 +67,8 @@ class SimConfig:
     """Monte Carlo run parameters for the lattice walk (p, distance).
 
     ``workers`` is advisory: it changes wall-clock time only, never the
-    result.
+    result.  The process pool holds at most one worker per batch and per
+    CPU.
     """
 
     p: float
@@ -122,10 +124,6 @@ class SimResult:
     time_histogram: dict[int, int]
     seed_echo: int
 
-    @property
-    def trials(self) -> int:
-        return self.ruined + self.censored
-
     def time_stats(self) -> tuple[float, float]:
         """(mean, sample standard deviation) of recorded ruin times,
         computed exactly from the integer histogram."""
@@ -139,20 +137,6 @@ class SimResult:
             return mean, 0.0
         var = (total_sq - n * mean * mean) / (n - 1)
         return mean, math.sqrt(max(var, 0.0))
-
-    def to_dict(self) -> dict:
-        mean = self.mean_time_to_ruin
-        return {
-            "ruined": self.ruined,
-            "censored": self.censored,
-            "ruin_frequency": self.ruin_frequency,
-            "stderr": self.stderr,
-            "mean_time_to_ruin": None if math.isnan(mean) else mean,
-            "time_histogram": {
-                str(t): c for t, c in sorted(self.time_histogram.items())
-            },
-            "seed_echo": self.seed_echo,
-        }
 
 
 def simulate(config: SimConfig, progress: ProgressCallback | None = None) -> SimResult:
@@ -168,7 +152,9 @@ def simulate(config: SimConfig, progress: ProgressCallback | None = None) -> Sim
         for index, size in enumerate(batches)
     ]
 
-    if config.workers == 1 or len(args) == 1:
+    # a fork-started pool launches all its workers at the first submit
+    pool_size = min(config.workers, len(args), os.cpu_count() or 1)
+    if pool_size == 1:
         outcomes = []
         for i, a in enumerate(args):
             outcomes.append(_run_batch(*a))
@@ -176,21 +162,19 @@ def simulate(config: SimConfig, progress: ProgressCallback | None = None) -> Sim
                 progress(i + 1, len(args))
     else:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            chunk = max(1, len(args) // (config.workers * 4))
+        with ProcessPoolExecutor(max_workers=pool_size) as pool:
+            chunk = max(1, len(args) // (pool_size * 4))
             outcomes = []
             for i, out in enumerate(pool.map(_run_batch_star, args, chunksize=chunk)):
                 outcomes.append(out)
                 if progress is not None:
                     progress(i + 1, len(args))
 
-    ruined = 0
-    time_sum = 0
     histogram: Counter[int] = Counter()
-    for batch_ruined, batch_time_sum, batch_hist in outcomes:
-        ruined += batch_ruined
-        time_sum += batch_time_sum
+    for batch_hist in outcomes:
         histogram.update(batch_hist)
+    ruined = sum(histogram.values())
+    time_sum = sum(t * c for t, c in histogram.items())
 
     censored = config.trials - ruined
     frequency = ruined / config.trials
@@ -226,7 +210,7 @@ def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _run_batch_star(args: tuple) -> tuple[int, int, dict[int, int]]:
+def _run_batch_star(args: tuple) -> dict[int, int]:
     return _run_batch(*args)
 
 
@@ -237,8 +221,8 @@ def _run_batch(
     seed: int,
     batch_index: int,
     size: int,
-) -> tuple[int, int, dict[int, int]]:
-    """Simulate one batch; returns (ruined, exact ruin-time sum, histogram).
+) -> dict[int, int]:
+    """Simulate one batch; returns its ruin-time histogram ``{step: count}``.
 
     Each pass moves the far trials one binomial block each and steps the
     near ones one chunk; when no trial is far the near ones are the whole
@@ -270,7 +254,7 @@ def _run_batch(
 
     times = np.concatenate(ruin_times) if ruin_times else np.zeros(0, np.int64)
     steps, counts = np.unique(times, return_counts=True)
-    return times.size, int(times.sum()), dict(zip(steps.tolist(), counts.tolist()))
+    return dict(zip(steps.tolist(), counts.tolist()))
 
 
 def _block(
@@ -381,15 +365,6 @@ class MethodEstimate:
     note: str
     abs_dev_from_dp: float | None
 
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "value": self.value,
-            "valid": self.valid,
-            "note": self.note,
-            "abs_dev_from_dp": self.abs_dev_from_dp,
-        }
-
 
 @dataclass(frozen=True)
 class MethodComparison:
@@ -408,20 +383,6 @@ class MethodComparison:
     ruin_estimates: tuple[MethodEstimate, ...]
     time_estimates: tuple[MethodEstimate, ...]
     simulation: SimResult
-
-    def to_dict(self) -> dict:
-        return {
-            "p_gain": self.p_gain,
-            "distance": self.distance,
-            "dp_horizon": self.dp_horizon,
-            "ruin_reference": self.ruin_reference,
-            "time_reference": (
-                None if math.isnan(self.time_reference) else self.time_reference
-            ),
-            "ruin_estimates": [e.to_dict() for e in self.ruin_estimates],
-            "time_estimates": [e.to_dict() for e in self.time_estimates],
-            "simulation": self.simulation.to_dict(),
-        }
 
 
 def compare_methods(

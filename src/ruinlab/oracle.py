@@ -82,20 +82,6 @@ class AbsorptionResult:
     survival_mass: float
     ruin_time_distribution: dict[int, float] | None = field(default=None, repr=False)
 
-    def to_dict(self) -> dict:
-        mean = self.expected_time_censored
-        return {
-            "ruin_probability_within_horizon": self.ruin_probability_within_horizon,
-            "horizon": self.horizon,
-            "expected_time_censored": None if math.isnan(mean) else mean,
-            "survival_mass": self.survival_mass,
-            "ruin_time_distribution": (
-                None
-                if self.ruin_time_distribution is None
-                else {str(t): m for t, m in sorted(self.ruin_time_distribution.items())}
-            ),
-        }
-
 
 def ruin_probability_dp(
     p: float,

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from typing import Iterator, Literal
+from typing import Literal
 
 from .errors import DomainError, ValidityError
 from .oracle import check_walk, first_passage_masses
@@ -82,53 +82,25 @@ class SeriesTerm:
             from decimal import Decimal  # imported only on this rare path
             return str(Decimal(self.path_count))
 
-    def to_dict(self) -> dict:
-        # exact count rendered as a decimal string: it routinely exceeds
-        # 64-bit range and JSON consumers would silently truncate it
-        return {
-            "n_gains": self.n_gains,
-            "path_count": self.path_count_text,
-            "probability": self.probability,
-            "cumulative": self.cumulative,
-        }
-
 
 @dataclass(frozen=True)
 class SeriesReport:
     """Partial sums of the ruin series up to ``truncation`` gains.
 
-    ``tail_bound`` is a geometric envelope on the omitted mass, built from
-    the last term and the larger of the observed and asymptotic term
-    ratios; it is infinite when no geometric envelope exists (ratio >= 1,
-    which happens near p = 1/2).  A reporting device, not part of the
-    series itself.
+    ``cumulative`` is the last term's running sum.  ``tail_bound`` is a
+    geometric envelope on the omitted mass, built from the last term and
+    the larger of the observed and asymptotic term ratios; it is infinite
+    when no geometric envelope exists (ratio >= 1, which happens near
+    p = 1/2).  A reporting device, not part of the series itself.
     """
 
     p_gain: float
     distance: int
-    terms: tuple[SeriesTerm, ...]
-    truncation: int
-    tail_bound: float
     coefficient_mode: CoefficientMode
-
-    @property
-    def cumulative(self) -> float:
-        return self.terms[-1].cumulative
-
-    def to_dict(self) -> dict:
-        return {
-            "p_gain": self.p_gain,
-            "distance": self.distance,
-            "coefficient_mode": self.coefficient_mode,
-            "truncation": self.truncation,
-            "cumulative": self.cumulative,
-            "tail_bound": None if math.isinf(self.tail_bound) else self.tail_bound,
-            "terms": [t.to_dict() for t in self.terms],
-        }
-
-    def csv_rows(self) -> Iterator[tuple]:
-        for t in self.terms:
-            yield (t.n_gains, t.path_count_text, t.probability, t.cumulative)
+    truncation: int
+    cumulative: float
+    tail_bound: float
+    terms: tuple[SeriesTerm, ...]
 
 
 def ruin_series(
@@ -160,10 +132,11 @@ def ruin_series(
     return SeriesReport(
         p_gain=p,
         distance=d,
-        terms=tuple(terms),
-        truncation=max_gains,
-        tail_bound=_geometric_tail_bound(terms, p, q),
         coefficient_mode=mode,
+        truncation=max_gains,
+        cumulative=terms[-1].cumulative,
+        tail_bound=_geometric_tail_bound(terms, p, q),
+        terms=tuple(terms),
     )
 
 

@@ -34,7 +34,8 @@ class TransformResult:
     """Probabilities that make the target legs match the original mean.
 
     ``p_loss_adjusted + p_gain_adjusted == 1`` and the rebalanced mean
-    equals ``matched_mean`` to within float rounding.
+    equals ``matched_mean`` to within float rounding.  ``warnings`` holds
+    ``adjusted_gain_below_half`` when ``p_gain_adjusted < 0.5``.
     """
 
     original: TrialModel
@@ -43,27 +44,7 @@ class TransformResult:
     matched_mean: float
     p_loss_adjusted: float
     p_gain_adjusted: float
-
-    @property
-    def warnings(self) -> tuple[str, ...]:
-        if self.p_gain_adjusted < 0.5:
-            return (WARN_GAIN_BELOW_HALF,)
-        return ()
-
-    def to_dict(self) -> dict:
-        return {
-            "original": {
-                "p_gain": self.original.p_gain,
-                "gain_factor": self.original.gain_factor,
-                "loss_factor": self.original.loss_factor,
-            },
-            "target_gain_factor": self.target_gain_factor,
-            "target_loss_factor": self.target_loss_factor,
-            "matched_mean": self.matched_mean,
-            "p_loss_adjusted": self.p_loss_adjusted,
-            "p_gain_adjusted": self.p_gain_adjusted,
-            "warnings": list(self.warnings),
-        }
+    warnings: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -75,14 +56,6 @@ class RebalancedRuinInputs:
     distance: int
     distance_exact: float
     warnings: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "p_gain": self.p_gain,
-            "distance": self.distance,
-            "distance_exact": self.distance_exact,
-            "warnings": list(self.warnings),
-        }
 
 
 def model_mean(model: TrialModel) -> float:
@@ -121,13 +94,15 @@ def rebalance(
             f"cannot reproduce the original drift"
         )
     p_loss = (target_gain_factor - mean) / (target_gain_factor - target_loss_factor)
+    p_gain = 1.0 - p_loss
     return TransformResult(
         original=model,
         target_gain_factor=target_gain_factor,
         target_loss_factor=target_loss_factor,
         matched_mean=mean,
         p_loss_adjusted=p_loss,
-        p_gain_adjusted=1.0 - p_loss,
+        p_gain_adjusted=p_gain,
+        warnings=(WARN_GAIN_BELOW_HALF,) if p_gain < 0.5 else (),
     )
 
 
@@ -144,14 +119,10 @@ def rebalanced_ruin_inputs(
     """
     exact = generalized_distance(loss_level, result.target_loss_factor)
     distance = lattice_distance(exact)
-    warnings = []
-    if result.p_gain_adjusted < 0.5:
-        warnings.append(WARN_GAIN_BELOW_HALF)
-    if distance < _SMALL_DISTANCE:
-        warnings.append(WARN_SMALL_DISTANCE)
+    small = (WARN_SMALL_DISTANCE,) if distance < _SMALL_DISTANCE else ()
     return RebalancedRuinInputs(
         p_gain=result.p_gain_adjusted,
         distance=distance,
         distance_exact=exact,
-        warnings=tuple(warnings),
+        warnings=result.warnings + small,
     )

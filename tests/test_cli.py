@@ -1,12 +1,14 @@
 """Command-line surface: formats, exit codes, manifests, reproducibility."""
 import csv
 import json
+import math
+from dataclasses import dataclass
 from decimal import Decimal
 
 import pytest
 
 from ruinlab import exact_coefficient, ruin_probability_dp
-from ruinlab.cli import main
+from ruinlab.cli import _jsonable, main
 
 
 def run_cli(capsys, *argv):
@@ -345,6 +347,27 @@ def test_domain_error_exit_code(capsys):
     assert "horizon" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("calibrate", "--loss-level", "0.25", "--loss-factor=-1e-17"),
+        ("transform", "--p", "0.5", "--gain-factor", "0.75", "--loss-factor", "-0.75",
+         "--target-gain-factor", "0.75", "--target-loss-factor=-1e-17",
+         "--loss-level", "0.25"),
+        ("simulate", "--p", "0.5", "--loss-level", "0.25", "--loss-factor=-1e-17",
+         "--seed", "1"),
+    ],
+    ids=["calibrate", "transform", "simulate"],
+)
+def test_loss_factor_that_rounds_to_no_loss_names_it(capsys, argv):
+    # 1 + -1e-17 == 1.0, so log(1 + loss_factor) was 0 and the distance a
+    # ZeroDivisionError traceback (exit 1)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "loss_factor" in err
+
+
 def test_garbage_input_never_panics(capsys):
     for argv in (
         ["calibrate", "--loss-level", "banana"],
@@ -400,6 +423,20 @@ def test_manifest_echoes_defaults(capsys):
     assert parameters["max_gains"] == 200
     assert parameters["mode"] == "exact"
     assert payload["manifest"]["tool_version"]
+
+
+def test_json_encoder_contract():
+    @dataclass(frozen=True)
+    class Record:
+        zeta: float
+        alpha: tuple
+        steps: dict
+
+    encoded = _jsonable(Record(math.nan, (1.5, -math.inf, (2,)), {10: 1, 9: math.inf}))
+    assert list(encoded) == ["zeta", "alpha", "steps"]  # declaration order
+    assert encoded == {"zeta": None, "alpha": [1.5, None, [2]], "steps": {"9": None, "10": 1}}
+    assert list(encoded["steps"]) == ["9", "10"]  # sorted as numbers, written as text
+    assert _jsonable(None) is None
 
 
 def test_format_env_var_default(capsys, monkeypatch):

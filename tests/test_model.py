@@ -110,7 +110,7 @@ def test_loss_level_domain_errors(bad_level):
         generalized_distance(bad_level, -0.5)
 
 
-@pytest.mark.parametrize("bad_factor", [0.0, -1.0, 0.5, -1.5])
+@pytest.mark.parametrize("bad_factor", [0.0, -1.0, 0.5, -1.5, -1e-17])
 def test_loss_factor_domain_errors(bad_factor):
     with pytest.raises(DomainError):
         generalized_distance(0.25, bad_factor)

@@ -1,8 +1,10 @@
 """Simulation engine: determinism, statistics against the DP oracle, and
 the bankroll/lattice equivalence."""
+import concurrent.futures
 import dataclasses
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from ruinlab import (
     ruin_probability_dp,
     simulate,
 )
+from ruinlab.cli import _jsonable
 from ruinlab.montecarlo import BATCH_TRIALS, _batch_sizes
 
 
@@ -47,7 +50,45 @@ def test_bit_identical_across_runs_and_workers():
     assert first == again
     parallel = simulate(lattice_config(0.48, 2, 30_000, 2000, seed=987654321, workers=4))
     assert first == parallel
-    assert json.dumps(first.to_dict()) == json.dumps(parallel.to_dict())
+    assert json.dumps(_jsonable(first)) == json.dumps(_jsonable(parallel))
+
+
+@pytest.mark.parametrize(
+    "workers, cpus, batches, pool_sizes",
+    [
+        (4096, 8, 2, [2]),  # never more workers than batches
+        (4096, 3, 5, [3]),  # nor than CPUs
+        (2, 8, 3, [2]),
+        (4096, 1, 2, []),  # one CPU: the serial path
+        (4096, None, 2, []),  # CPU count unknown: serial
+    ],
+)
+def test_process_pool_is_sized_by_workers_batches_and_cpus(
+    monkeypatch, workers, cpus, batches, pool_sizes
+):
+    # a fork-started pool launches all max_workers processes at the first
+    # submit, so the recorded size is the number of processes forked
+    sizes = []
+
+    class RecordingPool:  # starts no process
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    config = lattice_config(0.3, 1, batches * BATCH_TRIALS, 5, seed=3, workers=workers)
+    result = simulate(config)
+    assert sizes == pool_sizes
+    assert result == simulate(dataclasses.replace(config, workers=1))
 
 
 def test_different_seeds_differ():
@@ -221,11 +262,11 @@ def test_batch_sizes_cover_trials_exactly():
 
 def test_simresult_serialization():
     result = simulate(lattice_config(0.0, 2, 10, 10, seed=1))
-    payload = result.to_dict()
+    payload = _jsonable(result)
     assert payload["time_histogram"] == {"2": 10}
     assert payload["ruined"] == 10
     json.dumps(payload)
-    empty = simulate(lattice_config(1.0, 2, 10, 10, seed=1)).to_dict()
+    empty = _jsonable(simulate(lattice_config(1.0, 2, 10, 10, seed=1)))
     assert empty["mean_time_to_ruin"] is None
 
 
@@ -261,5 +302,5 @@ def test_compare_methods_drifted_case_agrees():
     assert rows["series_paper"].value > rows["series_exact"].value  # overcount
     time_rows = {e.method: e for e in comparison.time_estimates}
     assert time_rows["paper_estimator"].value == pytest.approx(4.551020408163265)
-    json.dumps(comparison.to_dict())
+    json.dumps(_jsonable(comparison))
 

@@ -12,6 +12,7 @@ from ruinlab import (
     ruin_probability_dp,
     ruin_series,
 )
+from ruinlab.cli import _jsonable
 from ruinlab.oracle import first_passage_masses
 
 from oracles import (
@@ -289,9 +290,9 @@ def test_ruin_times_share_distance_parity():
 
 def test_absorption_result_serialization():
     result = ruin_probability_dp(0.5, 2, 10, keep_distribution=True)
-    payload = result.to_dict()
+    payload = _jsonable(result)
     assert payload["horizon"] == 10
     assert payload["ruin_time_distribution"]["2"] == pytest.approx(0.25)
-    no_dist = ruin_probability_dp(1.0, 2, 10).to_dict()
+    no_dist = _jsonable(ruin_probability_dp(1.0, 2, 10))
     assert no_dist["expected_time_censored"] is None
     assert no_dist["ruin_time_distribution"] is None

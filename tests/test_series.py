@@ -17,6 +17,7 @@ from ruinlab import (
     ruin_probability_closed_form,
     ruin_series,
 )
+from ruinlab.cli import _jsonable
 
 from oracles import (
     GAIN,
@@ -204,13 +205,19 @@ def test_series_tail_bound_divergent_ratio_is_infinite():
 
 def test_series_report_serialization():
     report = ruin_series(0.5, 2, 3, "exact")
-    payload = report.to_dict()
+    payload = _jsonable(report)
+    assert list(payload) == [
+        "p_gain", "distance", "coefficient_mode", "truncation", "cumulative",
+        "tail_bound", "terms",
+    ]
     assert payload["coefficient_mode"] == "exact"
-    assert payload["terms"][3]["path_count"] == "14"
-    assert isinstance(payload["terms"][0]["path_count"], str)
+    assert payload["cumulative"] == report.terms[-1].cumulative
+    assert payload["tail_bound"] is None  # no geometric envelope at p = 1/2
+    assert payload["terms"][3] == {
+        "n_gains": 3, "path_count": 14, "probability": report.terms[3].probability,
+        "cumulative": report.terms[3].cumulative,
+    }
     json.dumps(payload)  # JSON-ready all the way down
-    rows = list(report.csv_rows())
-    assert rows[0] == (0, "1", 0.25, 0.25)
 
 
 def test_series_input_validation():

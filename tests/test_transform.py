@@ -13,6 +13,7 @@ from ruinlab import (
     rebalance,
     rebalanced_ruin_inputs,
 )
+from ruinlab.cli import _jsonable
 from ruinlab.transform import WARN_GAIN_BELOW_HALF, WARN_SMALL_DISTANCE
 
 
@@ -136,9 +137,9 @@ def test_rebalanced_ruin_inputs_rejects_nonnegative_target_loss():
 
 def test_transform_serialization():
     result = rebalance(TrialModel(0.5, 0.75, -0.75), 0.75, -0.25)
-    payload = result.to_dict()
+    payload = _jsonable(result)
     assert payload["p_loss_adjusted"] == 0.75
     assert payload["warnings"] == [WARN_GAIN_BELOW_HALF]
     json.dumps(payload)
     inputs = rebalanced_ruin_inputs(result, 0.25)
-    assert inputs.to_dict()["warnings"] == [WARN_GAIN_BELOW_HALF]
+    assert _jsonable(inputs)["warnings"] == [WARN_GAIN_BELOW_HALF]
