@@ -10,13 +10,7 @@ asymmetric gain/loss legs.
 from importlib import import_module
 
 from .errors import DomainError, InfeasibleTargetError, RuinlabError, ValidityError
-from .model import (
-    RuinSpec,
-    TrialModel,
-    calibrate,
-    generalized_distance,
-    lattice_distance,
-)
+from .model import RuinSpec, TrialModel, calibrate, lattice_distance
 from .transform import (
     RebalancedRuinInputs,
     TransformResult,
@@ -66,7 +60,6 @@ __all__ = sorted([
     "TrialModel",
     "ValidityError",
     "calibrate",
-    "generalized_distance",
     "lattice_distance",
     "model_mean",
     "rebalance",

@@ -102,12 +102,20 @@ def _reject_percent(text: str) -> str:
     return text
 
 
+def _parse(convert, text: str, rule: str):
+    # a ValueError here would make argparse name this module's type function
+    try:
+        return convert(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r}: {rule}") from None
+
+
 def _percent_hint(value: float) -> str:
     return f" (did you mean {value / 100.0}?)" if 1.0 < value <= 100.0 else ""
 
 
 def _probability(text: str) -> float:
-    value = float(_reject_percent(text))
+    value = _parse(float, _reject_percent(text), "probability must be a number in [0, 1]")
     if not 0.0 <= value <= 1.0:
         raise argparse.ArgumentTypeError(
             f"{text!r}: probability must be in [0, 1]{_percent_hint(value)}"
@@ -116,7 +124,7 @@ def _probability(text: str) -> float:
 
 
 def _loss_level(text: str) -> float:
-    value = float(_reject_percent(text))
+    value = _parse(float, _reject_percent(text), "loss level must be a number in (0, 1)")
     if not 0.0 < value < 1.0:
         raise argparse.ArgumentTypeError(
             f"{text!r}: loss level must be a strict fraction in (0, 1)"
@@ -126,7 +134,7 @@ def _loss_level(text: str) -> float:
 
 
 def _loss_factor(text: str) -> float:
-    value = float(_reject_percent(text))
+    value = _parse(float, _reject_percent(text), "loss factor must be a number in (-1, 0)")
     if not -1.0 < value < 0.0:
         raise argparse.ArgumentTypeError(
             f"{text!r}: loss factor must be a signed fraction in (-1, 0), "
@@ -136,28 +144,28 @@ def _loss_factor(text: str) -> float:
 
 
 def _signed_fraction(text: str) -> float:
-    value = float(_reject_percent(text))
+    value = _parse(float, _reject_percent(text), "must be a finite number")
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"{text!r}: must be a finite number")
     return value
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    value = _parse(int, text, "must be a positive integer")
     if value < 1:
         raise argparse.ArgumentTypeError(f"{text!r}: must be a positive integer")
     return value
 
 
 def _nonnegative_int(text: str) -> int:
-    value = int(text)
+    value = _parse(int, text, "must be an integer >= 0")
     if value < 0:
         raise argparse.ArgumentTypeError(f"{text!r}: must be >= 0")
     return value
 
 
 def _seed(text: str) -> int:
-    value = int(text)
+    value = _parse(int, text, "seed must be a 64-bit unsigned integer")
     if not 0 <= value < 2**64:
         raise argparse.ArgumentTypeError(
             f"{text!r}: seed must be a 64-bit unsigned integer"
@@ -287,18 +295,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> CommandOutput:
-    model = TrialModel(p_gain=0.5, gain_factor=1.0, loss_factor=args.loss_factor)
-    spec = calibrate(model, args.loss_level)
-    result = {
-        "loss_level": spec.loss_level,
-        "loss_factor": args.loss_factor,
-        "distance_exact": spec.distance_exact,
-        "distance": spec.distance,
-        "implied_loss_level": spec.implied_loss_level,
-    }
+    spec = calibrate(args.loss_level, args.loss_factor)
+    result = _jsonable(spec)
     human = [
         f"loss level          {_fmt(spec.loss_level)}",
-        f"loss factor         {_fmt(args.loss_factor)}",
+        f"loss factor         {_fmt(spec.loss_factor)}",
         f"distance (exact)    {_fmt(spec.distance_exact)}",
         f"distance (lattice)  {spec.distance}",
         f"implied loss level  {_fmt(spec.implied_loss_level)}",
@@ -366,8 +367,7 @@ def _resolve_sim_config(args: argparse.Namespace) -> SimConfig:
         raise DomainError("give either --distance or --loss-level, not both")
     distance = args.distance
     if args.loss_level is not None:
-        model = TrialModel(p_gain=args.p, gain_factor=1.0, loss_factor=args.loss_factor)
-        distance = calibrate(model, args.loss_level).distance
+        distance = calibrate(args.loss_level, args.loss_factor).distance
     if distance is None:
         raise DomainError("one of --distance or --loss-level is required")
     return _engines.SimConfig(

@@ -6,6 +6,7 @@ multiplicatively, a ruin threshold expressed as a fraction of the starting
 bankroll maps to an integer count of net losses on the log scale.  That
 count (the "distance") is the absorbing barrier of an equivalent +/-1
 lattice walk, which is what every other module in this package operates on.
+:func:`calibrate` is the one place where a loss level becomes a distance.
 """
 from __future__ import annotations
 
@@ -61,27 +62,10 @@ class RuinSpec:
     """
 
     loss_level: float
-    distance: int
+    loss_factor: float
     distance_exact: float
+    distance: int
     implied_loss_level: float
-
-
-def generalized_distance(loss_level: float, loss_factor: float) -> float:
-    """Number of losses of size ``loss_factor`` needed to reach ``loss_level``.
-
-    Returns ``log(loss_level) / log(1 + loss_factor)``, which is strictly
-    decreasing in ``loss_level``; a loss factor of -0.5 counts halvings.
-    """
-    _check_loss_level(loss_level)
-    # checked on the float factor whose log is the divisor (log, not log1p:
-    # the bankroll walk multiplies by this float); a factor within ~1.1e-16
-    # of 0 rounds it to 1.0, which loses nothing
-    if not 0.0 < 1.0 + loss_factor < 1.0:
-        raise DomainError(
-            f"loss_factor must be in (-1, 0) and shrink the bankroll in "
-            f"floating point (1 + loss_factor < 1), got {loss_factor}"
-        )
-    return math.log(loss_level) / math.log(1.0 + loss_factor)
 
 
 def lattice_distance(distance_exact: float) -> int:
@@ -91,26 +75,16 @@ def lattice_distance(distance_exact: float) -> int:
     return max(1, math.ceil(distance_exact - _SNAP))
 
 
-def calibrate(model: TrialModel, loss_level: float) -> RuinSpec:
-    """Calibrate the ruin barrier for ``model`` at ``loss_level``.
+def calibrate(loss_level: float, loss_factor: float) -> RuinSpec:
+    """Calibrate the ruin barrier for losses of ``loss_factor`` at ``loss_level``.
 
-    The exact distance comes from :func:`generalized_distance`; the integer
-    distance rounds it up (with the snap guard) so ruin is declared at or
-    below the requested level.  Ruin is evaluated on the integer lattice
-    (net loss count >= distance), never on floating-point bankrolls.
+    The exact distance is ``log(loss_level) / log(1 + loss_factor)``, the
+    number of losses needed to reach the level (strictly decreasing in
+    ``loss_level``; a factor of -0.5 counts halvings).  The integer distance
+    rounds it up with :func:`lattice_distance`, so ruin is declared at or
+    below the requested level and evaluated on the integer lattice (net
+    loss count >= distance), never on floating-point bankrolls.
     """
-    exact = generalized_distance(loss_level, model.loss_factor)
-    distance = lattice_distance(exact)
-    implied = (1.0 + model.loss_factor) ** distance
-    return RuinSpec(
-        loss_level=loss_level,
-        distance=distance,
-        distance_exact=exact,
-        implied_loss_level=implied,
-    )
-
-
-def _check_loss_level(loss_level: float) -> None:
     # 0 and 1 are rejected rather than treated as instant ruin / classic
     # zero-chip ruin: zero chips are unreachable under multiplicative losses.
     if not 0.0 < loss_level < 1.0:
@@ -118,3 +92,20 @@ def _check_loss_level(loss_level: float) -> None:
             f"loss_level must be a strict fraction of the initial bankroll "
             f"(0 < loss_level < 1), got {loss_level}"
         )
+    # checked on the float factor whose log is the divisor (log, not log1p:
+    # the bankroll walk multiplies by this float); a factor within ~1.1e-16
+    # of 0 rounds it to 1.0, which loses nothing
+    if not 0.0 < 1.0 + loss_factor < 1.0:
+        raise DomainError(
+            f"loss_factor must be in (-1, 0) and shrink the bankroll in "
+            f"floating point (1 + loss_factor < 1), got {loss_factor}"
+        )
+    exact = math.log(loss_level) / math.log(1.0 + loss_factor)
+    distance = lattice_distance(exact)
+    return RuinSpec(
+        loss_level=loss_level,
+        loss_factor=loss_factor,
+        distance_exact=exact,
+        distance=distance,
+        implied_loss_level=(1.0 + loss_factor) ** distance,
+    )

@@ -318,7 +318,7 @@ def bankroll_lattice_crosscheck(
     """
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
-    spec = calibrate(model, loss_level)
+    spec = calibrate(loss_level, model.loss_factor)
     if max_steps < spec.distance:
         raise DomainError(
             f"max_steps must be >= distance {spec.distance}, got {max_steps}"
@@ -398,36 +398,29 @@ def compare_methods(
     ruin_ref = reference.ruin_probability_within_horizon
     sim = simulate(config, progress=progress)
 
-    def row(method: str, value: float | None, valid: bool = True, note: str = "") -> MethodEstimate:
-        dev = abs(value - ruin_ref) if value is not None else None
-        return MethodEstimate(method, value, valid, note, dev)
-
+    series_note = f"cumulative at max_gains={max_gains}"
     ruin_rows = [
         MethodEstimate("dp", ruin_ref, True, f"reference, horizon={horizon}", 0.0),
-        row(
-            "series_exact",
-            ruin_series(p, d, max_gains, "exact").cumulative,
-            note=f"cumulative at max_gains={max_gains}",
-        ),
-        row(
-            "series_paper",
-            ruin_series(p, d, max_gains, "paper").cumulative,
-            note=f"cumulative at max_gains={max_gains}",
-        ),
-        _approx_row("approx_arith_geometric", approx_arith_geometric, p, d, ruin_ref),
-        _approx_row("approx_simplified", approx_simplified, p, d, ruin_ref),
-        row("paper_final_form", paper_final_form(p, d)),
-        row("closed_form_classical", ruin_probability_closed_form(p, d)),
-        row(
+        _estimate("series_exact", lambda: ruin_series(p, d, max_gains, "exact").cumulative,
+                  ruin_ref, series_note),
+        _estimate("series_paper", lambda: ruin_series(p, d, max_gains, "paper").cumulative,
+                  ruin_ref, series_note),
+        _estimate("approx_arith_geometric", lambda: approx_arith_geometric(p, d), ruin_ref),
+        _estimate("approx_simplified", lambda: approx_simplified(p, d), ruin_ref),
+        _estimate("paper_final_form", lambda: paper_final_form(p, d), ruin_ref),
+        _estimate("closed_form_classical", lambda: ruin_probability_closed_form(p, d), ruin_ref),
+        _estimate(
             "monte_carlo",
-            sim.ruin_frequency,
-            note=f"trials={config.trials}, max_steps={config.max_steps}, "
+            lambda: sim.ruin_frequency,
+            ruin_ref,
+            f"trials={config.trials}, max_steps={config.max_steps}, "
             f"seed={config.seed}, stderr={sim.stderr:.3e}",
         ),
     ]
 
     time_ref = reference.expected_time_censored
     time_rows = [
+        # valid even without ruin mass (p = 1): the reference is then undefined
         MethodEstimate(
             "dp_censored_mean",
             None if math.isnan(time_ref) else time_ref,
@@ -435,14 +428,10 @@ def compare_methods(
             f"reference, horizon={horizon}",
             0.0 if not math.isnan(time_ref) else None,
         ),
-        _time_row("paper_estimator", _paper_time_value(p, d), time_ref),
-        _time_row("classical_drift", expected_time_classical(p, d), time_ref),
-        _time_row(
-            "monte_carlo_censored_mean",
-            sim.mean_time_to_ruin,
-            time_ref,
-            note=f"over {sim.ruined} ruined trials",
-        ),
+        _estimate("paper_estimator", lambda: expected_time_paper(p, d), time_ref),
+        _estimate("classical_drift", lambda: expected_time_classical(p, d), time_ref),
+        _estimate("monte_carlo_censored_mean", lambda: sim.mean_time_to_ruin, time_ref,
+                  f"over {sim.ruined} ruined trials"),
     ]
 
     return MethodComparison(
@@ -457,35 +446,23 @@ def compare_methods(
     )
 
 
-def _approx_row(
-    method: str,
-    fn: Callable[[float, int], float],
-    p: float,
-    d: int,
-    ruin_ref: float,
+def _estimate(
+    method: str, compute: Callable[[], float], reference: float, note: str = ""
 ) -> MethodEstimate:
+    """One method's row next to ``reference``.  An approximation outside its
+    region or an undefined value gives an invalid row, a divergent value a
+    valid row without a value; no deviation is given from a NaN reference."""
     try:
-        value = fn(p, d)
+        value = compute()
     except ValidityError as exc:
         return MethodEstimate(method, None, False, f"outside validity: {exc}", None)
-    return MethodEstimate(method, value, True, "", abs(value - ruin_ref))
-
-
-def _paper_time_value(p: float, d: int) -> float:
-    try:
-        return expected_time_paper(p, d)
     except DomainError:
-        return math.nan
-
-
-def _time_row(
-    method: str, value: float, time_ref: float, note: str = ""
-) -> MethodEstimate:
+        value = math.nan
+    if math.isnan(value):
+        return MethodEstimate(method, None, False, note or "undefined here", None)
     if math.isinf(value):
         return MethodEstimate(
             method, None, True, "divergent: ruin not certain or mean infinite", None
         )
-    if math.isnan(value):
-        return MethodEstimate(method, None, False, note or "undefined here", None)
-    dev = abs(value - time_ref) if not math.isnan(time_ref) else None
+    dev = None if math.isnan(reference) else abs(value - reference)
     return MethodEstimate(method, value, True, note, dev)

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, InfeasibleTargetError
-from .model import TrialModel, generalized_distance, lattice_distance
+from .model import TrialModel, calibrate
 
 WARN_GAIN_BELOW_HALF = "adjusted_gain_below_half"
 WARN_SMALL_DISTANCE = "small_distance"
@@ -117,12 +117,15 @@ def rebalanced_ruin_inputs(
     integer distance lands below 5; both are interpretation hazards of the
     amplified per-trial moves, not errors.
     """
-    exact = generalized_distance(loss_level, result.target_loss_factor)
-    distance = lattice_distance(exact)
-    small = (WARN_SMALL_DISTANCE,) if distance < _SMALL_DISTANCE else ()
+    try:
+        spec = calibrate(loss_level, result.target_loss_factor)
+    except DomainError as exc:
+        # calibrate names its own argument; here that factor is the target leg
+        raise DomainError(str(exc).replace("loss_factor", "target_loss_factor")) from None
+    small = (WARN_SMALL_DISTANCE,) if spec.distance < _SMALL_DISTANCE else ()
     return RebalancedRuinInputs(
         p_gain=result.p_gain_adjusted,
-        distance=distance,
-        distance_exact=exact,
+        distance=spec.distance,
+        distance_exact=spec.distance_exact,
         warnings=result.warnings + small,
     )

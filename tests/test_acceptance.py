@@ -38,9 +38,8 @@ def test_criterion_01_distance_calibration(capsys):
     assert code == 0
     assert json.loads(out)["result"]["distance"] == 2
 
-    model = TrialModel(p_gain=0.5, gain_factor=1.0, loss_factor=-0.5)
     start = time.perf_counter()
-    spec = calibrate(model, 0.25)
+    spec = calibrate(0.25, -0.5)
     elapsed = time.perf_counter() - start
     assert spec.distance == 2
     assert elapsed < 1e-3

@@ -1,4 +1,5 @@
 """Command-line surface: formats, exit codes, manifests, reproducibility."""
+import argparse
 import csv
 import json
 import math
@@ -8,7 +9,7 @@ from decimal import Decimal
 import pytest
 
 from ruinlab import exact_coefficient, ruin_probability_dp
-from ruinlab.cli import _jsonable, main
+from ruinlab.cli import _build_parser, _jsonable, main
 
 
 def run_cli(capsys, *argv):
@@ -307,6 +308,51 @@ def test_transform_rejects_non_finite_factors(capsys, flag, value):
     assert code == 2
     assert out == ""
     assert f"argument --{flag}" in err
+
+
+@pytest.mark.parametrize("target_loss", ["-1.5", "-1e-17"])
+def test_transform_names_the_target_loss_factor(capsys, target_loss):
+    # the user's --loss-factor is fine; the distance was calibrated on the
+    # target leg, but the error used to name loss_factor
+    code, out, err = run_cli(
+        capsys, "transform", "--p", "0.5", "--gain-factor", "0.75",
+        "--loss-factor", "-0.75", "--target-gain-factor", "0.75",
+        f"--target-loss-factor={target_loss}", "--loss-level", "0.25",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: target_loss_factor must be in (-1, 0)")
+    assert f"got {float(target_loss)}" in err
+
+
+def _typed_flags():
+    parser = _build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [
+        (command, action.option_strings[0])
+        for command, subparser in commands.choices.items()
+        for action in subparser._actions
+        if action.type is not None
+    ]
+
+
+@pytest.mark.parametrize("command, flag", _typed_flags())
+def test_unparsable_flag_values_say_what_is_wrong(capsys, command, flag):
+    # argparse reports a ValueError from a type function as "invalid
+    # <function name> value", which named this package's private helpers
+    code, out, err = run_cli(capsys, command, flag, "x1")
+    assert code == 2
+    assert out == ""
+    message = err.strip().splitlines()[-1].split(" error: ", 1)[1]
+    assert message.startswith(f"argument {flag}: 'x1': ")
+    assert "invalid _" not in err
+
+
+def test_non_integer_horizon_says_it_must_be_a_positive_integer(capsys):
+    code, _, err = run_cli(capsys, "exact", "--p", "0.5", "--distance", "2",
+                           "--horizon", "1e5")
+    assert code == 2
+    assert err.endswith("error: argument --horizon: '1e5': must be a positive integer\n")
 
 
 def test_demo_states(capsys):

@@ -4,7 +4,7 @@ Each case pins the full stdout of one command, byte for byte, in
 ``tests/golden/<case>.<format>``.  The tool version and the numpy version
 are stored as ``@VERSION@`` and ``@NUMPY@``, so neither a version bump nor
 another numpy churns the files.  Only commands whose output draws on no
-random bit are pinned: ``simulate`` at p in {0, 1} and ``compare --p 1``.
+random bit are pinned: ``simulate`` and ``compare`` at p in {0, 1}.
 
 To re-record after a deliberate output change, run
 ``PYTHONPATH=src python tests/test_cli_golden.py`` and review the diff.
@@ -41,6 +41,8 @@ CASES = {
                     "--max-steps", "20", "--seed", "5"),
     "simulate_p1": ("simulate", "--p", "1", "--loss-level", "0.25", "--trials", "50",
                     "--max-steps", "20", "--seed", "5"),
+    "compare_p0": ("compare", "--p", "0", "--distance", "3", "--trials", "40",
+                   "--max-steps", "30", "--seed", "9", "--max-gains", "4"),
     "compare_p1": ("compare", "--p", "1", "--distance", "2", "--trials", "40",
                    "--max-steps", "30", "--seed", "9", "--max-gains", "4"),
 }

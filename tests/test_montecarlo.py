@@ -292,6 +292,19 @@ def test_compare_methods_fair_odds_rows():
     assert "divergent" in time_rows["classical_drift"].note
 
 
+def test_compare_methods_without_ruin_mass_gives_no_time_deviation():
+    # q**d underflows at p = 0.999, d = 400, so the DP holds no ruin mass and
+    # its censored mean, the time reference, is undefined
+    comparison = compare_methods(lattice_config(0.999, 400, 40, 400, seed=3), max_gains=4)
+    assert math.isnan(comparison.time_reference)
+    time_rows = {e.method: e for e in comparison.time_estimates}
+    assert time_rows["dp_censored_mean"].valid
+    assert time_rows["dp_censored_mean"].value is None
+    paper = time_rows["paper_estimator"]
+    assert paper.valid and math.isfinite(paper.value)
+    assert paper.abs_dev_from_dp is None
+
+
 def test_compare_methods_drifted_case_agrees():
     comparison = compare_methods(lattice_config(0.6, 3, 50_000, 20_000, seed=12))
     rows = {e.method: e for e in comparison.ruin_estimates}

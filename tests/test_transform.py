@@ -131,7 +131,7 @@ def test_rebalanced_ruin_inputs_rejects_nonnegative_target_loss():
     model = TrialModel(0.5, 1.0, -0.5)  # mean 0.25
     result = rebalance(model, 0.75, 0.1)
     assert 0.0 < result.p_loss_adjusted < 1.0
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^target_loss_factor must be in"):
         rebalanced_ruin_inputs(result, 0.25)
 
 
