@@ -19,7 +19,7 @@ from .transform import (
     rebalanced_ruin_inputs,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 # The numeric engines import numpy, so they load on first use (PEP 562):
 # commands that only calibrate or transform start without it.

@@ -4,7 +4,9 @@ Every command supports ``--format human|json|csv`` (default from the
 ``RUINLAB_FORMAT`` environment variable, else ``human``).  JSON goes to
 stdout with the run manifest embedded; progress and log lines go to
 stderr.  Exit codes: 0 success, 2 input-domain errors, 3 validity errors
-(approximation outside its region, infeasible transform targets).
+(approximation outside its region, infeasible transform targets), 141
+(128 + SIGPIPE) when the reader closes stdout before the output is written,
+as in ``ruinlab exact ... | head``.
 """
 from __future__ import annotations
 
@@ -49,6 +51,7 @@ FORMAT_ENV_VAR = "RUINLAB_FORMAT"
 DEFAULT_MAX_GAINS = 200
 DEFAULT_HORIZON = 100_000
 DEFAULT_TRIALS = 100_000
+DEFAULT_LOSS_FACTOR = -0.5
 
 # Demo scenario: U.S. ten-year treasury yields, summers of 2011-2013.
 # 2.8% halved to 1.4%, then doubled back: one loss step and one gain step
@@ -84,7 +87,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (RuinlabError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(args, output)
+    try:
+        _emit(args, output)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: send the interpreter's final flush nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 141
     return 0
 
 
@@ -199,7 +209,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="map a loss level to its integer lattice distance",
     )
     p.add_argument("--loss-level", type=_loss_level, required=True)
-    p.add_argument("--loss-factor", type=_loss_factor, default=-0.5)
+    p.add_argument("--loss-factor", type=_loss_factor, default=DEFAULT_LOSS_FACTOR)
     p.set_defaults(handler=_cmd_calibrate)
 
     p = sub.add_parser(
@@ -236,7 +246,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=_probability, required=True)
     p.add_argument("--distance", type=_positive_int)
     p.add_argument("--loss-level", type=_loss_level, help="alternative to --distance")
-    p.add_argument("--loss-factor", type=_loss_factor, default=-0.5)
+    p.add_argument("--loss-factor", type=_loss_factor, default=DEFAULT_LOSS_FACTOR)
     p.add_argument("--trials", type=_positive_int, default=DEFAULT_TRIALS)
     p.add_argument("--max-steps", type=_positive_int, default=DEFAULT_HORIZON)
     p.add_argument("--seed", type=_seed, required=True, help="required: no silent entropy")
@@ -365,6 +375,13 @@ def _cmd_exact(args: argparse.Namespace) -> CommandOutput:
 def _resolve_sim_config(args: argparse.Namespace) -> SimConfig:
     if args.loss_level is not None and args.distance is not None:
         raise DomainError("give either --distance or --loss-level, not both")
+    # the manifest records the default loss factor, so a replayed manifest
+    # passes it back; any other value would be silently ignored
+    if args.loss_level is None and args.loss_factor != DEFAULT_LOSS_FACTOR:
+        raise DomainError(
+            "--loss-factor needs --loss-level: it only calibrates a loss level "
+            "to a distance"
+        )
     distance = args.distance
     if args.loss_level is not None:
         distance = calibrate(args.loss_level, args.loss_factor).distance

@@ -10,13 +10,33 @@ keyed by ``(seed, b)``, so a run is bit-identical for a fixed seed no
 matter how many workers execute it or how batches are scheduled.
 
 Within a batch every trial keeps its own clock and its own gap, the net
-losses it still needs to ruin.  On the +/-1 lattice a trial ``gap`` losses
-from the barrier cannot ruin within ``gap - 1`` steps, so on each pass the
-trials with a gap above ``_BLOCK_MIN_GAP`` take those steps as one binomial
-draw each, while the others step through a gain/loss chunk with exact
-first-passage detection.  A trial retires when it ruins or when its gap
-exceeds the steps it has left, so it is censored as soon as ruin within the
-horizon is impossible.
+losses it still needs to ruin.  Engine 0.3 moves a trial in one of two ways
+on each pass, and each pass draws its bits from the batch stream in this
+order:
+
+* **Bridge blocks** (gap above ``_BLOCK_MIN_GAP``).  A trial takes a block
+  of ``m`` steps: one ``Generator.binomial(m, q)`` draw gives its losses
+  ``k``.  Given ``k`` every arrangement of the block is equally likely, so
+  whether the path touched the barrier does not depend on p.  When
+  ``k >= gap`` one ``Generator.random`` double ``u`` follows: the block
+  crossed when ``u`` is below the reflection probability
+  ``C(m, k - gap) / C(m, k)`` (1 when the net loss ``2k - m`` reaches the
+  gap), and then the same ``u`` picks the ruin step from the bridge's
+  ballot law by inverse CDF.  Blocks are sized so that crossings stay rare
+  (``_block_lengths``) and never pass the trial's horizon; a block shorter
+  than the gap cannot cross and draws only the binomial.
+* **Byte steps** (the other trials).  Each step cell takes one byte of a
+  raw 64-bit Philox word (``random_raw``, bytes in little-endian order):
+  a byte below ``floor(256 p)`` is a gain, above it a loss, and on a tie a
+  ``Generator.random`` double decides, drawn in row-major cell order after
+  the chunk's bytes.  That is ``Bernoulli(p)`` to 2**-53, at a byte per
+  cell instead of a double.  First passage is found exactly, eight steps
+  at a time.
+
+A trial retires when it ruins or when its gap exceeds the steps it has
+left, so it is censored as soon as ruin within the horizon is impossible.
+0.2.0 results are not reproduced: the same seed feeds different bits to
+each trial.
 """
 from __future__ import annotations
 
@@ -48,12 +68,27 @@ from .series import (
 # it changes which bits each trial sees.
 BATCH_TRIALS = 8192
 
+# Step chunks are multiples of 8 steps: one packed byte of gain/loss bits.
 _CHUNK_START = 16
 _CHUNK_MAX = 256
-# Trials farther than this from the barrier take binomial blocks; nearer
-# ones step.  On 1e5-step runs at p = 0.51-0.64, 8, 12 and 16 are equally
-# fast within noise, 24 is slightly slower and 64 about 1.4x slower.
+# Trials farther than this from the barrier take bridge blocks; nearer
+# ones step.  On the mc_survive commands 8, 12 and 16 are equally fast
+# within noise.
 _BLOCK_MIN_GAP = 16
+# Block lengths.  A block spans at most gap**2 // _DIFFUSION_SPAN steps, so
+# it crosses with probability about 2 Phi(-3) = 0.3% at p = 1/2; when the
+# walk drifts toward the barrier, at most _DRIFT_SPAN * gap / (q - p)
+# steps, so the drift covers half the gap.  When the walk drifts away and
+# would ever reach the barrier with probability (q/p)**gap below
+# 2**-_SAFE_BITS, a block runs to the table size or the horizon.
+_DIFFUSION_SPAN = 9
+_DRIFT_SPAN = 0.5
+_SAFE_BITS = 10
+# A block that can cross spans at most this many steps, the size of the
+# log-factorial table; a longer block is one shorter than the gap.
+_BRIDGE_MAX = 2**16
+# Ballot masses held at once by all crossed trials of a pass (8 bytes each).
+_BALLOT_CELLS = 2**18
 
 _MAX_SEED = 2**64 - 1
 # Positions and clocks are int64; below this no block sum can overflow.
@@ -197,7 +232,12 @@ def engine_record() -> dict:
     Under numpy's RNG policy (NEP 19) the streams of ``Generator.random``
     and ``Generator.binomial`` may change between numpy releases.
     """
-    return {"bit_generator": "Philox", "batch_trials": BATCH_TRIALS, "numpy": np.__version__}
+    return {
+        "algorithm": "bridge blocks + byte steps (engine 0.3)",
+        "bit_generator": "Philox",
+        "batch_trials": BATCH_TRIALS,
+        "numpy": np.__version__,
+    }
 
 
 def _batch_sizes(trials: int) -> list[int]:
@@ -224,7 +264,7 @@ def _run_batch(
 ) -> dict[int, int]:
     """Simulate one batch; returns its ruin-time histogram ``{step: count}``.
 
-    Each pass moves the far trials one binomial block each and steps the
+    Each pass moves the far trials one bridge block each and steps the
     near ones one chunk; when no trial is far the near ones are the whole
     batch and nothing is gathered or scattered.
     """
@@ -238,10 +278,12 @@ def _run_batch(
         far = gap > _BLOCK_MIN_GAP
         n_far = int(np.count_nonzero(far))
         if n_far == gap.size:
-            gap, t = _block(rng, p, max_steps, gap, t)
+            gap, t, times = _bridge(rng, p, max_steps, gap, t)
+            ruin_times.append(times)
             continue
         if n_far:
-            far_gap, far_t = _block(rng, p, max_steps, gap[far], t[far])
+            far_gap, far_t, times = _bridge(rng, p, max_steps, gap[far], t[far])
+            ruin_times.append(times)
             near = ~far
             gap, t = gap[near], t[near]
         gap, t, times = _step(rng, p, max_steps, gap, t, chunk)
@@ -257,18 +299,161 @@ def _run_batch(
     return dict(zip(steps.tolist(), counts.tolist()))
 
 
-def _block(
+def _bridge(
     rng: np.random.Generator, p: float, max_steps: int, gap: np.ndarray, t: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Advance each trial by ``gap - 1`` steps in one binomial draw: ruin is
-    impossible within them.  Every live trial has ``gap <= max_steps - t``,
-    so no block passes the horizon.  Returns the trials that can still
-    ruin."""
-    block = gap - 1
-    gap += 2 * rng.binomial(block, p) - block
-    t += block
-    live = gap <= max_steps - t
-    return gap[live], t[live]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Advance each far trial by one bridge block.  Returns the trials that
+    can still ruin and the ruin times of those that crossed."""
+    q = 1.0 - p
+    m = _block_lengths(p, max_steps - t, gap)
+    k = rng.binomial(m, q)
+    lead = 2 * k - m  # net losses over the block
+    t_next = t + m
+    # a block with fewer losses than the gap cannot reach the barrier
+    maybe = np.flatnonzero(k >= gap)
+    times = np.zeros(0, dtype=np.int64)
+    crossed = np.zeros(gap.size, dtype=bool)
+    if maybe.size:
+        u = rng.random(maybe.size)
+        g, n, x = gap[maybe], m[maybe], k[maybe]
+        lf = _log_factorials(int(n.max()) + 1)
+        hit = u < _crossing(g, n, x, lf)
+        if hit.any():
+            rows = maybe[hit]
+            crossed[rows] = True
+            times = t[rows] + _ballot_steps(g[hit], n[hit], x[hit], u[hit], lf)
+    gap = gap - lead
+    live = ~crossed & (gap <= max_steps - t_next)
+    return gap[live], t_next[live], times
+
+
+def _block_lengths(p: float, remaining: np.ndarray, gap: np.ndarray) -> np.ndarray:
+    """Block length of each far trial: long enough that the binomial draw
+    is worth it, short enough that crossings stay rare, and never past the
+    trial's horizon.  A block that can cross spans at most ``_BRIDGE_MAX``
+    steps; past that a block of ``gap - 1`` steps, which cannot cross,
+    keeps far trials moving at any horizon."""
+    span = np.minimum(gap, _BRIDGE_MAX)
+    length = span * span // _DIFFUSION_SPAN
+    q = 1.0 - p
+    if q > p:
+        length = np.minimum(length, span * (_DRIFT_SPAN / (q - p)))
+    elif p > q:
+        safe = gap * (math.log2(p / q) if q else math.inf) >= _SAFE_BITS
+        length = np.where(safe, _BRIDGE_MAX, length)
+    length = np.minimum(length, _BRIDGE_MAX).astype(np.int64)
+    return np.minimum(remaining, np.maximum(gap - 1, length))
+
+
+def _crossing(g: np.ndarray, m: np.ndarray, k: np.ndarray, lf: np.ndarray) -> np.ndarray:
+    """Probability that a block of ``m`` steps with ``k >= g`` losses, from
+    gap ``g``, touches the barrier: 1 when its net loss ``2k - m`` reaches
+    ``g``, else ``C(m, k - g) / C(m, k)`` by reflection (the arrangements
+    that touch map one to one onto those that end at ``2g - (2k - m)``).
+
+    The ratio is the exponential of four log-factorial entries, so it
+    carries a relative error of about 1e-9 at most, a bias that only some
+    1e18 trials could resolve."""
+    log_touch = np.minimum(lf[k] + lf[m - k] - lf[k - g] - lf[m - k + g], 0.0)
+    return np.where(2 * k - m >= g, 1.0, np.exp(log_touch))
+
+
+def _ballot_steps(
+    g: np.ndarray, m: np.ndarray, k: np.ndarray, u: np.ndarray, lf: np.ndarray
+) -> np.ndarray:
+    """First-passage step of each crossed block, by inverse CDF at ``u``.
+
+    A block of ``m`` steps with ``k`` losses, from gap ``g``, first reaches
+    the barrier at step ``j = g + 2r`` with probability (ballot theorem)
+    ``(g/j) C(j, g + r) C(m - j, k - g - r) / C(m, k)``; these sum to the
+    crossing probability, so ``u`` below it is a uniform draw of the CDF.
+    The masses are scanned in windows that double, so a trial costs about
+    its own ``r`` in table lookups, up to ``_BALLOT_CELLS`` masses a window."""
+    out = np.empty(g.size, dtype=np.int64)
+    rows = np.arange(g.size)
+    last = np.minimum(np.minimum(k - g, m - k), (m - g) // 2)  # largest r with mass
+    log_total = lf[m] - lf[k] - lf[m - k]
+    below = np.zeros(g.size)  # CDF before the window
+    start, width = 0, 8
+    while rows.size:
+        r = start + np.arange(width)
+        inside = r <= last[:, None]
+        r = np.minimum(r, last[:, None])
+        gg, mm, kk = g[:, None], m[:, None], k[:, None]
+        j = gg + 2 * r
+        log_w = (np.log(gg / j) + lf[j] - lf[gg + r] - lf[r]
+                 + lf[mm - j] - lf[kk - gg - r] - lf[mm - kk - r] - log_total[:, None])
+        cdf = below[:, None] + np.cumsum(np.where(inside, np.exp(log_w), 0.0), axis=1)
+        reached = cdf[:, -1] > u
+        done = reached | (start + width > last)
+        # rounding can leave the last CDF value a hair under u: take the last step
+        first = np.where(reached, start + np.argmax(cdf > u[:, None], axis=1), last)
+        out[rows[done]] = (g + 2 * first)[done]
+        keep = ~done
+        rows, g, m, k, u, last, log_total = (
+            a[keep] for a in (rows, g, m, k, u, last, log_total))
+        below = cdf[keep, -1]
+        start += width
+        width = min(2 * width, max(8, _BALLOT_CELLS // max(rows.size, 1)))
+    return out
+
+
+def _log_factorials(size: int) -> np.ndarray:
+    """ln n! for n = 0 .. at least ``size - 1``: ``math.lgamma`` below 32,
+    Stirling's series with four terms above, each entry within two ulps
+    (2.5e-10) of ln n!.  The table grows, to the longest block that could
+    cross so far, in chunks computed alike in every process, so an entry
+    does not depend on how far the table has grown."""
+    global _LOG_FACTORIALS
+    while _LOG_FACTORIALS.size < size:
+        x = _LOG_FACTORIALS.size + np.arange(1.0, _LOG_FACTORIAL_CHUNK + 1.0)  # n + 1
+        r = 1.0 / x
+        r2 = r * r
+        chunk = ((x - 0.5) * np.log(x) - x + 0.5 * math.log(2.0 * math.pi)
+                 + r * (1 / 12 - r2 * (1 / 360 - r2 * (1 / 1260 - r2 / 1680))))
+        if not _LOG_FACTORIALS.size:
+            chunk[:32] = [math.lgamma(n + 1.0) for n in range(32)]
+        _LOG_FACTORIALS = np.concatenate((_LOG_FACTORIALS, chunk))
+    return _LOG_FACTORIALS
+
+
+_LOG_FACTORIAL_CHUNK = 4096
+_LOG_FACTORIALS = np.zeros(0)
+
+
+def _losses(rng: np.random.Generator, p: float, cells: int) -> np.ndarray:
+    """One loss flag per step cell, drawn at a byte per cell.
+
+    The cell's byte ``b`` of a raw Philox word is a gain when below
+    ``cut = floor(256 p)`` and a loss when above it; on a tie a double
+    ``u`` in [0, 1) makes it a gain when ``u < 256 p - cut``.  Both ``256 p``
+    and that difference are exact, so P(gain) = cut/256 + P(u < 256 p - cut)/256
+    equals p to 2**-53.  ``cells`` is a multiple of 8."""
+    cut = math.floor(256.0 * p)
+    raw = rng.bit_generator.random_raw(cells // 8).astype("<u8", copy=False)
+    bytes_ = raw.view(np.uint8)
+    loss = bytes_ > cut
+    ties = np.flatnonzero(bytes_ == cut)
+    if ties.size:
+        loss[ties] = rng.random(ties.size) >= 256.0 * p - cut
+    return loss
+
+
+def _pattern_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tables over the 256 patterns of 8 steps, first step in the high bit
+    and 1 a loss: net losses, the peak of the running net loss, and the
+    first step (0-7) at which the running net loss reaches h = 0..8 (8 when
+    it never does)."""
+    bits = (np.arange(256)[:, None] >> np.arange(7, -1, -1)) & 1
+    walk = np.cumsum(2 * bits - 1, axis=1)
+    reach = walk[:, :, None] >= np.arange(9)
+    first = np.where(reach.any(axis=1), np.argmax(reach, axis=1), 8)
+    return walk[:, -1].astype(np.int16), walk.max(axis=1).astype(np.int16), first
+
+
+_NET, _PEAK, _FIRST = _pattern_tables()
+# Multiplying eight 0/1 bytes (little-endian) by this gathers them in the top byte.
+_PACK = np.uint64(0x8040201008040201)
 
 
 def _step(
@@ -281,19 +466,27 @@ def _step(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Walk near trials up to ``chunk`` steps with exact first-passage
     detection.  Returns the trials that can still ruin and the ruin times
-    of those that did."""
+    of those that did.
+
+    The chunk is rounded up to whole bytes of 8 steps; a trial whose
+    horizon falls inside it is retired at the end of the pass either way."""
+    n = gap.size
     remaining = max_steps - t
-    steps = min(chunk, int(remaining.max()))
-    moves = (rng.random((gap.size, steps)) >= p).astype(np.int8)  # 1 = loss
-    moves *= 2
-    moves -= 1
-    walk = np.cumsum(moves, axis=1, dtype=np.int32)  # net losses so far
-    walk -= gap[:, None].astype(np.int32)  # gap <= _BLOCK_MIN_GAP fits
-    hit = walk >= 0  # the first such step is exactly the first passage
-    first = np.argmax(hit, axis=1)
-    crossed = hit[np.arange(gap.size), first]
+    steps = min(chunk, -(-int(remaining.max()) // 8) * 8)
+    loss = _losses(rng, p, n * steps)  # row-major: trial i owns cells [i*steps, (i+1)*steps)
+    # eight 0/1 bytes to one pattern byte, first step in the high bit
+    groups = ((loss.view("<u8") * _PACK) >> np.uint64(56)).astype(np.uint8)
+    groups = groups.reshape(n, steps // 8)
+    net = _NET[groups]
+    walk = np.cumsum(net, axis=1, dtype=np.int16)  # net losses after each byte
+    need = gap.astype(np.int16)[:, None] - (walk - net)  # still needed at its start
+    hit = _PEAK[groups] >= need
+    byte = np.argmax(hit, axis=1)  # first byte that reaches the barrier, if any
+    at = byte + np.arange(0, groups.size, groups.shape[1])  # its flat index
+    crossed = hit.ravel()[at]
+    first = 8 * byte + _FIRST[groups.ravel()[at], np.minimum(need.ravel()[at], 8)]
     ruined = crossed & (first < remaining)
-    gap = -walk[:, -1].astype(np.int64)
+    gap = gap - walk[:, -1]
     t = t + steps
     live = ~crossed & (gap <= max_steps - t)
     return gap[live], t[live], t[ruined] - steps + 1 + first[ruined]

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -81,6 +82,48 @@ def series_cumulative_by_rational_sum(
     total = Fraction(0)
     for n_gains in range(max_gains + 1):
         total += counts[n_gains] * q ** (d + n_gains) * p**n_gains
+    return total
+
+
+def bridge_first_passage_by_enumeration(m: int, k: int, g: int) -> dict[int, Fraction]:
+    """Exact law of the first step at which a block of ``m`` steps with
+    exactly ``k`` losses, every arrangement equally likely, brings its net
+    losses up to ``g``: ``{step: probability}``.  The masses sum to the
+    chance that the block touches ``g`` at all."""
+    arrangements = list(combinations(range(m), k))
+    weight = Fraction(1, len(arrangements))
+    masses: dict[int, Fraction] = {}
+    for losses in arrangements:
+        position = 0
+        for step in range(m):
+            position += LOSS if step in losses else GAIN
+            if position == -g:
+                masses[step + 1] = masses.get(step + 1, Fraction(0)) + weight
+                break
+    return masses
+
+
+def gain_probability_on_double_grid(decide: Callable[[float], Sequence[bool]]) -> Fraction:
+    """Exact P(gain) of a one-step rule that reads a byte ``b`` uniform on
+    0..255 and, for some bytes, a double ``u`` uniform on the 53-bit grid
+    ``i / 2**53`` (numpy's ``Generator.random``).
+
+    ``decide(u)`` gives the 256 gain flags at ``u``, each non-increasing in
+    ``u``; a byte whose flag depends on ``u`` is resolved by bisection."""
+    low, high = decide(0.0), decide(1.0 - 2.0**-53)
+    total = Fraction(0)
+    for b in range(256):
+        if low[b] == high[b]:
+            total += Fraction(int(low[b]), 256)
+            continue
+        gain, loss = 0, 2**53 - 1  # grid indices known to give a gain, a loss
+        while loss - gain > 1:
+            mid = (gain + loss) // 2
+            if decide(mid * 2.0**-53)[b]:
+                gain = mid
+            else:
+                loss = mid
+        total += Fraction(gain + 1, 2**53 * 256)
     return total
 
 

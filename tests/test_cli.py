@@ -3,6 +3,9 @@ import argparse
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import dataclass
 from decimal import Decimal
 
@@ -180,6 +183,39 @@ def test_simulate_rejects_conflicting_barrier_flags(capsys):
     )
     assert code == 2
     assert "not both" in err
+
+
+@pytest.mark.parametrize("barrier", [("--distance", "3"), ()])
+def test_simulate_loss_factor_without_loss_level_is_an_error(capsys, barrier):
+    # the loss factor only calibrates a loss level; with --distance it used
+    # to be ignored while the manifest recorded it
+    code, out, err = run_cli(
+        capsys, "simulate", "--p", "0.5", *barrier, "--loss-factor", "-0.25",
+        "--seed", "1", "--trials", "10", "--max-steps", "10",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --loss-factor needs --loss-level")
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    # the JSON is megabytes, far past a pipe's buffer, so the writer is
+    # still writing when the reader goes away
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    cli = "import sys; from ruinlab.cli import main; sys.exit(main(sys.argv[1:]))"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", cli, "exact", "--p", "0.5", "--distance", "3",
+         "--horizon", "200000", "--distribution", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert head == b'{"manifest'
+    assert err == b""
 
 
 @pytest.mark.parametrize("distance", [1075, 2000])
@@ -443,7 +479,8 @@ def test_json_key_set_depends_only_on_command(capsys):
 def test_engine_record_only_in_monte_carlo_manifests(capsys):
     import numpy as np
 
-    engine = {"bit_generator": "Philox", "batch_trials": 8192, "numpy": np.__version__}
+    engine = {"algorithm": "bridge blocks + byte steps (engine 0.3)",
+              "bit_generator": "Philox", "batch_trials": 8192, "numpy": np.__version__}
     for argv in (
         ("simulate", "--p", "0.5", "--distance", "2", "--trials", "10", "--seed", "1"),
         ("compare", "--p", "0.5", "--distance", "2", "--trials", "10",
@@ -451,7 +488,7 @@ def test_engine_record_only_in_monte_carlo_manifests(capsys):
     ):
         manifest = run_json(capsys, *argv)["manifest"]
         assert manifest["engine"] == engine
-        assert manifest["tool_version"] == "0.2.0"
+        assert manifest["tool_version"] == "0.3.0"
     for argv in (
         ("calibrate", "--loss-level", "0.25"),
         ("transform", "--p", "0.5", "--gain-factor", "0.75", "--loss-factor",

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,7 +20,17 @@ from ruinlab import (
     simulate,
 )
 from ruinlab.cli import _jsonable
-from ruinlab.montecarlo import BATCH_TRIALS, _batch_sizes
+from ruinlab.montecarlo import (
+    _BRIDGE_MAX,
+    BATCH_TRIALS,
+    _ballot_steps,
+    _batch_sizes,
+    _crossing,
+    _log_factorials,
+    _losses,
+)
+
+from oracles import bridge_first_passage_by_enumeration, gain_probability_on_double_grid
 
 
 def lattice_config(p, d, trials, max_steps, seed, workers=1):
@@ -167,13 +178,9 @@ def test_block_skip_regime_still_exact():
     assert result.time_histogram == {100: 500}
 
 
-def test_ruin_time_histogram_matches_dp_where_blocks_fire():
-    # drift away from the barrier: most surviving trials leave the step
-    # phase for binomial blocks, and some of them come back and ruin.
-    # Each ruin-time bin expecting >= 10 trials, the pooled rarer bins and
-    # the censored count are each within 5 sigma of the DP distribution.
-    p, d, max_steps, trials = 0.55, 2, 2000, 200_000
-    result = simulate(lattice_config(p, d, trials, max_steps, seed=55))
+def assert_histogram_matches_dp(result, p, d, max_steps, trials):
+    # each ruin-time bin expecting >= 10 trials, the pooled rarer bins and
+    # the censored count are each within 5 sigma of the DP distribution
     dp = ruin_probability_dp(p, d, max_steps, keep_distribution=True)
     bins = [(result.time_histogram.get(t, 0), mass)
             for t, mass in dp.ruin_time_distribution.items()]
@@ -186,6 +193,122 @@ def test_ruin_time_histogram_matches_dp_where_blocks_fire():
     for count, mass in checks:
         sigma = math.sqrt(trials * mass * (1.0 - mass))
         assert abs(count - trials * mass) <= 5 * sigma, (count, trials * mass)
+
+
+def test_ruin_time_histogram_matches_dp_where_blocks_fire():
+    # drift away from the barrier: most surviving trials leave the step
+    # phase for bridge blocks, and some of them come back and ruin
+    p, d, max_steps, trials = 0.55, 2, 2000, 200_000
+    result = simulate(lattice_config(p, d, trials, max_steps, seed=55))
+    assert_histogram_matches_dp(result, p, d, max_steps, trials)
+
+
+def test_ruin_time_histogram_matches_dp_where_far_trials_cross():
+    # every trial starts past the block threshold and drifts toward the
+    # barrier, so most ruins come from crossed bridge blocks and their
+    # ballot-law times
+    p, d, max_steps, trials = 0.45, 40, 2000, 200_000
+    result = simulate(lattice_config(p, d, trials, max_steps, seed=4045))
+    assert_histogram_matches_dp(result, p, d, max_steps, trials)
+
+
+def test_bridge_crossing_and_ballot_law_match_enumeration():
+    # every block of m <= 12 steps with k losses from gap g <= 7: the
+    # reflection probability and the inverse CDF of the ballot law against
+    # exact enumeration of the arrangements
+    lf = _log_factorials(_BRIDGE_MAX + 1)
+    g_, m_, k_, u_, want = [], [], [], [], []
+    for m in range(1, 13):
+        for k in range(m + 1):
+            for g in range(1, 8):
+                masses = bridge_first_passage_by_enumeration(m, k, g)
+                if k < g:  # the engine draws no uniform for these blocks
+                    assert not masses
+                    continue
+                total = sum(masses.values())
+                engine = _crossing(np.array([g]), np.array([m]), np.array([k]), lf)[0]
+                assert engine == pytest.approx(float(total), rel=1e-12, abs=1e-15), (m, k, g)
+                below = Fraction(0)
+                for step in sorted(masses):
+                    above = below + masses[step]
+                    for u in (float(below) + 1e-9, float(below + above) / 2, float(above) - 1e-9):
+                        g_.append(g), m_.append(m), k_.append(k), u_.append(u), want.append(step)
+                    below = above
+    steps = _ballot_steps(*(np.array(a) for a in (g_, m_, k_)), np.array(u_), lf)
+    assert len(want) > 2000
+    assert steps.tolist() == want
+
+
+@pytest.mark.parametrize("m, k, g", [(300, 160, 17), (300, 150, 25), (2000, 1030, 40)])
+def test_ballot_law_over_many_windows(m, k, g):
+    # first passages up to a thousand steps in: the inverse CDF crosses
+    # several of its doubling windows; ballot masses in exact rationals
+    masses = {}
+    for r in range(min(k - g, m - k, (m - g) // 2) + 1):
+        j = g + 2 * r
+        masses[j] = Fraction(g * math.comb(j, g + r) * math.comb(m - j, k - g - r),
+                             j * math.comb(m, k))
+    lf = _log_factorials(_BRIDGE_MAX + 1)
+    assert _crossing(np.array([g]), np.array([m]), np.array([k]), lf)[0] == pytest.approx(
+        float(sum(masses.values())), rel=1e-12)
+    us, want = [], []
+    below = Fraction(0)
+    for step, mass in masses.items():
+        above = below + mass
+        if mass > 1e-7:  # wide enough to probe inside the float error
+            us.append(float(below + above) / 2)
+            want.append(step)
+        below = above
+    assert max(want) > g + 100
+    # thousands of crossed trials at once keep the windows narrow
+    us, want = us * 20, want * 20
+    n = len(us)
+    steps = _ballot_steps(np.full(n, g), np.full(n, m), np.full(n, k), np.array(us), lf)
+    assert steps.tolist() == want
+
+
+def test_ballot_step_past_the_rounded_cdf_is_the_last_step():
+    # u is drawn below the crossing probability, but the float sum of the
+    # masses can end a hair under it: such a u takes the last step with mass
+    g, m, k = np.array([17, 25, 3]), np.array([300, 300, 12]), np.array([160, 150, 7])
+    last = np.minimum(np.minimum(k - g, m - k), (m - g) // 2)
+    steps = _ballot_steps(g, m, k, np.full(3, 2.0), _log_factorials(_BRIDGE_MAX + 1))
+    assert steps.tolist() == (g + 2 * last).tolist()
+
+
+@pytest.mark.parametrize("m, k, g", [
+    (80, 45, 5), (200, 110, 20), (4096, 2100, 60), (40_000, 20_500, 1000),
+    (_BRIDGE_MAX, 32_800, 300), (_BRIDGE_MAX, 33_000, 17), (_BRIDGE_MAX, 60_000, 30_000),
+])
+def test_crossing_probability_is_accurate_up_to_the_table_size(m, k, g):
+    exact = Fraction(math.comb(m, k - g), math.comb(m, k))
+    lf = _log_factorials(_BRIDGE_MAX + 1)
+    engine = _crossing(np.array([g]), np.array([m]), np.array([k]), lf)[0]
+    assert engine == pytest.approx(float(min(exact, 1)), rel=1e-9)
+
+
+class _ByteStub:
+    """Stands in for a Generator: the 256 byte values in order, then a
+    fixed double for every tie."""
+
+    def __init__(self, u):
+        self.u = u
+        self.bit_generator = self
+
+    def random_raw(self, words):
+        assert words == 32
+        return np.frombuffer(bytes(range(256)), dtype="<u8").copy()
+
+    def random(self, size):
+        return np.full(size, self.u)
+
+
+@pytest.mark.parametrize("p", [0.0, 1 / 256, 0.3, 0.5, 0.6, 255 / 256, 1.0])
+def test_byte_rule_gives_gain_probability_p_exactly(p):
+    def gains(u):
+        return (~_losses(_ByteStub(u), p, 256)).tolist()
+
+    assert gain_probability_on_double_grid(gains) == Fraction(p)
 
 
 def test_censoring_is_exact_at_an_odd_horizon():
