@@ -26,7 +26,7 @@ __version__ = "0.3.0"
 _ENGINE_OF = {
     **dict.fromkeys(
         ("MethodComparison", "MethodEstimate", "SimConfig", "SimResult",
-         "bankroll_lattice_crosscheck", "compare_methods", "simulate"),
+         "compare_methods", "engine_record", "simulate"),
         "montecarlo",
     ),
     **dict.fromkeys(
@@ -42,12 +42,17 @@ _ENGINE_OF = {
 }
 
 
-def __getattr__(name: str):
+def _engine_attr(namespace: dict, name: str):
+    """Load the engine name ``name`` and bind it in the module ``namespace``
+    (this package's or a module that resolves engine names from it)."""
     if name not in _ENGINE_OF:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f".{_ENGINE_OF[name]}", __name__), name)
-    globals()[name] = value
+        raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+    value = namespace[name] = getattr(import_module(f".{_ENGINE_OF[name]}", __name__), name)
     return value
+
+
+def __getattr__(name: str):
+    return _engine_attr(globals(), name)
 
 
 __all__ = sorted([

@@ -3,7 +3,8 @@
 Every command supports ``--format human|json|csv`` (default from the
 ``RUINLAB_FORMAT`` environment variable, else ``human``).  JSON goes to
 stdout with the run manifest embedded; progress and log lines go to
-stderr.  Exit codes: 0 success, 2 input-domain errors, 3 validity errors
+stderr.  Exit codes: 0 success, 2 input-domain errors (a bad
+``RUINLAB_FORMAT`` among them), 3 validity errors
 (approximation outside its region, infeasible transform targets), 141
 (128 + SIGPIPE) when the reader closes stdout before the output is written,
 as in ``ruinlab exact ... | head``.
@@ -15,34 +16,25 @@ import csv
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
-from importlib import import_module
 from typing import Sequence
 
-from . import __version__
+from . import __version__, _engine_attr
 from .errors import DomainError, RuinlabError, ValidityError
 from .model import TrialModel, calibrate
 from .transform import rebalance, rebalanced_ruin_inputs
 
-# The engines (series, oracle, montecarlo) import numpy, so the names used
-# from them load on first use (PEP 562).  Handlers call them as
+# The engines (series, oracle, montecarlo) import numpy, so their names load
+# on first use from the package's table.  Handlers call them as
 # ``_engines.<name>``, so a replacement bound here (a test double, a
 # tracer's wrapper) is what runs.
-_ENGINE_OF = {
-    "ruin_series": "series",
-    "ruin_probability_dp": "oracle",
-    **dict.fromkeys(("SimConfig", "compare_methods", "engine_record", "simulate"), "montecarlo"),
-}
 _engines = sys.modules[__name__]
 
 
 def __getattr__(name: str):
-    if name not in _ENGINE_OF:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f".{_ENGINE_OF[name]}", __package__), name)
-    globals()[name] = value
-    return value
+    return _engine_attr(globals(), name)
 
 
 FORMATS = ("human", "json", "csv")
@@ -77,6 +69,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.format not in FORMATS:  # argparse checks --format, not its default
+            parser.error(f"${FORMAT_ENV_VAR} must be one of {', '.join(FORMATS)}, "
+                         f"got {args.format!r}")
     except SystemExit as exc:  # argparse prints its own message
         return int(exc.code) if exc.code else 0
     try:
@@ -103,84 +98,51 @@ def main(argv: Sequence[str] | None = None) -> int:
 # ----------------------------------------------------------------------
 
 
-def _reject_percent(text: str) -> str:
-    if text.endswith("%"):
-        raise argparse.ArgumentTypeError(
-            f"{text!r}: give probabilities and fractions as decimals "
-            f"(e.g. 0.5), not percentages"
-        )
-    return text
+def _arg_type(convert, accept, parse_rule: str, range_rule: str = "", percent_hint=False):
+    """The argparse type of one kind of flag value: ``convert`` the text,
+    then ``accept`` the value.  Each failure names the text and states its
+    rule (``range_rule`` defaults to ``parse_rule``); a float flag also
+    rejects percentages, and with ``percent_hint`` a value in (1, 100]
+    suggests its decimal form.  A ValueError would make argparse name this
+    function, so every failure is an ArgumentTypeError."""
+
+    def parse(text: str):
+        if convert is float and text.endswith("%"):
+            raise argparse.ArgumentTypeError(
+                f"{text!r}: give probabilities and fractions as decimals "
+                f"(e.g. 0.5), not percentages"
+            )
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r}: {parse_rule}") from None
+        if not accept(value):
+            hint = percent_hint and 1.0 < value <= 100.0
+            raise argparse.ArgumentTypeError(
+                f"{text!r}: {range_rule or parse_rule}"
+                + (f" (did you mean {value / 100.0}?)" if hint else "")
+            )
+        return value
+
+    return parse
 
 
-def _parse(convert, text: str, rule: str):
-    # a ValueError here would make argparse name this module's type function
-    try:
-        return convert(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r}: {rule}") from None
-
-
-def _percent_hint(value: float) -> str:
-    return f" (did you mean {value / 100.0}?)" if 1.0 < value <= 100.0 else ""
-
-
-def _probability(text: str) -> float:
-    value = _parse(float, _reject_percent(text), "probability must be a number in [0, 1]")
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(
-            f"{text!r}: probability must be in [0, 1]{_percent_hint(value)}"
-        )
-    return value
-
-
-def _loss_level(text: str) -> float:
-    value = _parse(float, _reject_percent(text), "loss level must be a number in (0, 1)")
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(
-            f"{text!r}: loss level must be a strict fraction in (0, 1)"
-            f"{_percent_hint(value)}"
-        )
-    return value
-
-
-def _loss_factor(text: str) -> float:
-    value = _parse(float, _reject_percent(text), "loss factor must be a number in (-1, 0)")
-    if not -1.0 < value < 0.0:
-        raise argparse.ArgumentTypeError(
-            f"{text!r}: loss factor must be a signed fraction in (-1, 0), "
-            f"e.g. -0.5 for a 50% loss"
-        )
-    return value
-
-
-def _signed_fraction(text: str) -> float:
-    value = _parse(float, _reject_percent(text), "must be a finite number")
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"{text!r}: must be a finite number")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    value = _parse(int, text, "must be a positive integer")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{text!r}: must be a positive integer")
-    return value
-
-
-def _nonnegative_int(text: str) -> int:
-    value = _parse(int, text, "must be an integer >= 0")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"{text!r}: must be >= 0")
-    return value
-
-
-def _seed(text: str) -> int:
-    value = _parse(int, text, "seed must be a 64-bit unsigned integer")
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError(
-            f"{text!r}: seed must be a 64-bit unsigned integer"
-        )
-    return value
+_probability = _arg_type(
+    float, lambda v: 0.0 <= v <= 1.0, "probability must be a number in [0, 1]",
+    "probability must be in [0, 1]", percent_hint=True,
+)
+_loss_level = _arg_type(
+    float, lambda v: 0.0 < v < 1.0, "loss level must be a number in (0, 1)",
+    "loss level must be a strict fraction in (0, 1)", percent_hint=True,
+)
+_loss_factor = _arg_type(
+    float, lambda v: -1.0 < v < 0.0, "loss factor must be a number in (-1, 0)",
+    "loss factor must be a signed fraction in (-1, 0), e.g. -0.5 for a 50% loss",
+)
+_signed_fraction = _arg_type(float, math.isfinite, "must be a finite number")
+_positive_int = _arg_type(int, lambda v: v >= 1, "must be a positive integer")
+_nonnegative_int = _arg_type(int, lambda v: v >= 0, "must be an integer >= 0", "must be >= 0")
+_seed = _arg_type(int, lambda v: 0 <= v < 2**64, "seed must be a 64-bit unsigned integer")
 
 
 # ----------------------------------------------------------------------
@@ -188,13 +150,22 @@ def _seed(text: str) -> int:
 # ----------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads ``-1e-3`` as a negative number, as argparse reads ``-0.001``
+    (no ruinlab option looks like a number)."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ruinlab",
         description="Multiplicative gambler's-ruin toolkit.",
     )
     parser.add_argument("--version", action="version", version=f"ruinlab {__version__}")
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument(
         "--format",
         choices=FORMATS,

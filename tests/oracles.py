@@ -127,6 +127,71 @@ def gain_probability_on_double_grid(decide: Callable[[float], Sequence[bool]]) -
     return total
 
 
+def time_stats(histogram: dict[int, int]) -> tuple[float, float]:
+    """(mean, sample standard deviation) of the ruin times in a
+    ``{step: count}`` histogram, computed exactly from the integers."""
+    n = sum(histogram.values())
+    if n == 0:
+        return math.nan, math.nan
+    total = sum(t * c for t, c in histogram.items())
+    total_sq = sum(t * t * c for t, c in histogram.items())
+    mean = total / n
+    if n == 1:
+        return mean, 0.0
+    var = (total_sq - n * mean * mean) / (n - 1)
+    return mean, math.sqrt(max(var, 0.0))
+
+
+# Trials per (seed, batch) Philox stream, as in the simulation engine.
+_BATCH_TRIALS = 8192
+
+
+def bankroll_lattice_crosscheck(
+    model, loss_level: float, distance: int, trials: int, max_steps: int, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run paired walks on shared random bits and return both ruin steps.
+
+    ``model`` carries ``p_gain``, ``gain_factor`` and ``loss_factor``.  For
+    each trial the same gain/loss sequence drives (a) the integer lattice
+    walk ruined when net losses reach ``distance``, the distance calibrated
+    for ``loss_level``, and (b) a floating-point bankroll multiplied by
+    ``1 + gain_factor`` or ``1 + loss_factor`` and ruined when it falls to
+    ``loss_level`` or below.  Batch ``b`` of 8192 trials draws one double
+    per step from the Philox stream keyed by ``(seed, b)``.  Returns
+    ``(lattice_steps, bankroll_steps)`` with -1 marking a censored trial.
+    With power-of-two move factors the bankroll stays exactly
+    representable, so the two walks must agree step for step.
+    """
+    up = 1.0 + model.gain_factor
+    down = 1.0 + model.loss_factor
+    lattice_steps = np.full(trials, -1, dtype=np.int64)
+    bankroll_steps = np.full(trials, -1, dtype=np.int64)
+
+    for batch_index, start in enumerate(range(0, trials, _BATCH_TRIALS)):
+        key = np.array([seed, batch_index], dtype=np.uint64)
+        rng = np.random.Generator(np.random.Philox(key=key))
+        size = min(_BATCH_TRIALS, trials - start)
+        idx = np.arange(start, start + size)
+        pos = np.zeros(size, dtype=np.int64)
+        bankroll = np.ones(size)
+        lattice_active = np.ones(size, dtype=bool)
+        bankroll_active = np.ones(size, dtype=bool)
+        for t in range(1, max_steps + 1):
+            gains = rng.random(size) < model.p_gain
+            pos += np.where(gains, 1, -1)
+            np.multiply(bankroll, np.where(gains, up, down), out=bankroll)
+            lattice_hit = lattice_active & (pos <= -distance)
+            bankroll_hit = bankroll_active & (bankroll <= loss_level)
+            lattice_steps[idx[lattice_hit]] = t
+            bankroll_steps[idx[bankroll_hit]] = t
+            lattice_active &= ~lattice_hit
+            bankroll_active &= ~bankroll_hit
+            if not lattice_active.any() and not bankroll_active.any():
+                break
+
+    return lattice_steps, bankroll_steps
+
+
 # The surviving mass of a +/-1 walk spreads like sqrt(t); tracking this
 # many standard deviations above the start keeps truncation leakage far
 # below double-precision noise while the state stays O(sqrt(horizon)).

@@ -12,7 +12,6 @@ import pytest
 
 from ruinlab import (
     TrialModel,
-    bankroll_lattice_crosscheck,
     SimConfig,
     calibrate,
     compare_methods,
@@ -25,7 +24,7 @@ from ruinlab import (
 )
 from ruinlab.cli import main
 
-from oracles import first_passage_count
+from oracles import bankroll_lattice_crosscheck, first_passage_count, time_stats
 
 
 def _report(number: int, label: str, detail: str) -> None:
@@ -132,7 +131,7 @@ def test_criterion_06_monte_carlo_vs_closed_form():
 
 def test_criterion_07_expected_time_benchmark():
     comparison = compare_methods(SimConfig(0.4, 3, 1_000_000, 10_000, seed=5150))
-    mean, std = comparison.simulation.time_stats()
+    mean, std = time_stats(comparison.simulation.time_histogram)
     se = std / math.sqrt(comparison.simulation.ruined)
     assert abs(mean - 15.0) <= 3 * se
 
@@ -167,8 +166,9 @@ def test_criterion_08_transform_worked_example():
 def test_criterion_09_multiplicative_lattice_equivalence():
     model = TrialModel(p_gain=0.5, gain_factor=1.0, loss_factor=-0.5)
     start = time.perf_counter()
+    distance = calibrate(0.25, model.loss_factor).distance
     lattice_steps, bankroll_steps = bankroll_lattice_crosscheck(
-        model, 0.25, trials=10_000, max_steps=2048, seed=424242
+        model, 0.25, distance, trials=10_000, max_steps=2048, seed=424242
     )
     elapsed = time.perf_counter() - start
     assert np.array_equal(lattice_steps, bankroll_steps)

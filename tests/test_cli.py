@@ -372,6 +372,33 @@ def _typed_flags():
     ]
 
 
+# each typed flag: its rule for text that does not parse, and a value out
+# of range with its rule (messages recorded before the flag types shared
+# one declaration)
+_POSITIVE_INT = "must be a positive integer"
+_FINITE = "must be a finite number"
+_FLAG_RULES = {
+    "--p": ("probability must be a number in [0, 1]",
+            "1.5", "probability must be in [0, 1] (did you mean 0.015?)"),
+    "--loss-level": ("loss level must be a number in (0, 1)",
+                     "1.5", "loss level must be a strict fraction in (0, 1) (did you mean 0.015?)"),
+    "--loss-factor": ("loss factor must be a number in (-1, 0)",
+                      "0.5", "loss factor must be a signed fraction in (-1, 0), "
+                             "e.g. -0.5 for a 50% loss"),
+    "--gain-factor": (_FINITE, "inf", _FINITE),
+    "--target-gain-factor": (_FINITE, "nan", _FINITE),
+    "--target-loss-factor": (_FINITE, "-inf", _FINITE),
+    "--distance": (_POSITIVE_INT, "0", _POSITIVE_INT),
+    "--horizon": (_POSITIVE_INT, "0", _POSITIVE_INT),
+    "--trials": (_POSITIVE_INT, "0", _POSITIVE_INT),
+    "--max-steps": (_POSITIVE_INT, "0", _POSITIVE_INT),
+    "--workers": (_POSITIVE_INT, "0", _POSITIVE_INT),
+    "--max-gains": ("must be an integer >= 0", "-1", "must be >= 0"),
+    "--seed": ("seed must be a 64-bit unsigned integer",
+               str(2**64), "seed must be a 64-bit unsigned integer"),
+}
+
+
 @pytest.mark.parametrize("command, flag", _typed_flags())
 def test_unparsable_flag_values_say_what_is_wrong(capsys, command, flag):
     # argparse reports a ValueError from a type function as "invalid
@@ -379,9 +406,49 @@ def test_unparsable_flag_values_say_what_is_wrong(capsys, command, flag):
     code, out, err = run_cli(capsys, command, flag, "x1")
     assert code == 2
     assert out == ""
-    message = err.strip().splitlines()[-1].split(" error: ", 1)[1]
-    assert message.startswith(f"argument {flag}: 'x1': ")
+    rule = _FLAG_RULES[flag][0]
+    assert err.strip().splitlines()[-1] == (
+        f"ruinlab {command}: error: argument {flag}: 'x1': {rule}"
+    )
     assert "invalid _" not in err
+
+
+@pytest.mark.parametrize("command, flag", _typed_flags())
+def test_out_of_range_flag_values_say_what_is_wrong(capsys, command, flag):
+    _, value, rule = _FLAG_RULES[flag]
+    code, out, err = run_cli(capsys, command, f"{flag}={value}")
+    assert code == 2
+    assert out == ""
+    assert err.strip().splitlines()[-1] == (
+        f"ruinlab {command}: error: argument {flag}: {value!r}: {rule}"
+    )
+
+
+_TRANSFORM = ("transform", "--gain-factor", "0.75")
+
+
+@pytest.mark.parametrize("value", ["-1e-3", "-5e-1"])
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("calibrate", "--loss-level", "0.25"), "--loss-factor"),
+        (("simulate", "--p", "0.5", "--loss-level", "0.25", "--seed", "1", "--trials", "10"),
+         "--loss-factor"),
+        ((*_TRANSFORM, "--p", "0.5", "--target-gain-factor", "0.75",
+          "--target-loss-factor", "-0.25"), "--loss-factor"),
+        ((*_TRANSFORM, "--p", "0.5", "--loss-factor", "-0.75", "--target-gain-factor", "0.75"),
+         "--target-loss-factor"),
+        ((*_TRANSFORM, "--p", "0.1", "--loss-factor", "-0.75", "--target-loss-factor", "-0.9"),
+         "--target-gain-factor"),
+    ],
+    ids=["calibrate", "simulate", "transform", "target-loss", "target-gain"],
+)
+def test_negative_values_in_scientific_notation_follow_their_flag(capsys, argv, flag, value):
+    # argparse takes only -1 and -0.001 style text for a negative number,
+    # and read "-1e-3" after a flag as a missing value
+    code, joined, _ = run_cli(capsys, *argv, f"{flag}={value}")
+    assert code == 0
+    assert run_cli(capsys, *argv, flag, value)[:2] == (0, joined)
 
 
 def test_non_integer_horizon_says_it_must_be_a_positive_integer(capsys):
@@ -531,6 +598,21 @@ def test_format_env_var_default(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "calibrate", "--loss-level", "0.25")
     assert code == 0
     assert out.splitlines()[1].startswith("loss_level,")
+
+
+@pytest.mark.parametrize("value", ["JSON", "xml", pytest.param("", id="empty")])
+def test_bad_format_env_var_is_an_error(capsys, monkeypatch, value):
+    # argparse checks --format against its choices but not its default
+    monkeypatch.setenv("RUINLAB_FORMAT", value)
+    code, out, err = run_cli(capsys, "calibrate", "--loss-level", "0.25")
+    assert code == 2
+    assert out == ""
+    assert err.endswith(
+        f"error: $RUINLAB_FORMAT must be one of human, json, csv, got {value!r}\n"
+    )
+    code, out, _ = run_cli(capsys, "calibrate", "--loss-level", "0.25", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["result"]["distance"] == 2
 
 
 def test_csv_uses_header_and_dot_decimals(capsys):

@@ -14,7 +14,7 @@ from ruinlab import (
     DomainError,
     SimConfig,
     TrialModel,
-    bankroll_lattice_crosscheck,
+    calibrate,
     compare_methods,
     ruin_probability_dp,
     simulate,
@@ -30,7 +30,12 @@ from ruinlab.montecarlo import (
     _losses,
 )
 
-from oracles import bridge_first_passage_by_enumeration, gain_probability_on_double_grid
+from oracles import (
+    bankroll_lattice_crosscheck,
+    bridge_first_passage_by_enumeration,
+    gain_probability_on_double_grid,
+    time_stats,
+)
 
 
 def lattice_config(p, d, trials, max_steps, seed, workers=1):
@@ -91,15 +96,22 @@ def test_process_pool_is_sized_by_workers_batches_and_cpus(
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, iterable, chunksize=1):
-            return map(fn, iterable)
+        def map(self, fn, *iterables, chunksize=1):
+            assert chunksize >= 1
+            return map(fn, *iterables)
+
+    def recorded(config):
+        calls = []
+        result = simulate(config, progress=lambda done, total: calls.append((done, total)))
+        return result, calls
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     config = lattice_config(0.3, 1, batches * BATCH_TRIALS, 5, seed=3, workers=workers)
-    result = simulate(config)
+    result, calls = recorded(config)
     assert sizes == pool_sizes
-    assert result == simulate(dataclasses.replace(config, workers=1))
+    assert (result, calls) == recorded(dataclasses.replace(config, workers=1))
+    assert calls == [(done, batches) for done in range(1, batches + 1)]
 
 
 def test_different_seeds_differ():
@@ -163,7 +175,7 @@ def test_agreement_at_region_boundary():
 
 def test_censored_mean_matches_classical_drift():
     result = simulate(lattice_config(0.4, 3, 1_000_000, 10_000, seed=2024))
-    mean, std = result.time_stats()
+    mean, std = time_stats(result.time_histogram)
     se = std / math.sqrt(result.ruined)
     assert abs(mean - 15.0) <= 3 * se
     assert result.mean_time_to_ruin == pytest.approx(mean)
@@ -334,8 +346,9 @@ def test_censoring_is_exact_at_an_odd_horizon():
 
 def test_multiplicative_equivalence_with_shared_bits():
     model = TrialModel(p_gain=0.5, gain_factor=1.0, loss_factor=-0.5)
+    distance = calibrate(0.25, model.loss_factor).distance
     lattice_steps, bankroll_steps = bankroll_lattice_crosscheck(
-        model, 0.25, trials=2000, max_steps=512, seed=99
+        model, 0.25, distance, trials=2000, max_steps=512, seed=99
     )
     assert np.array_equal(lattice_steps, bankroll_steps)
     ruined = lattice_steps[lattice_steps > 0]
