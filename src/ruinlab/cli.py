@@ -151,12 +151,14 @@ _seed = _arg_type(int, lambda v: 0 <= v < 2**64, "seed must be a 64-bit unsigned
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reads ``-1e-3`` as a negative number, as argparse reads ``-0.001``
-    (no ruinlab option looks like a number)."""
+    """Reads ``-1e-3`` and ``-inf`` as negative numbers, as argparse reads
+    ``-0.001`` (no ruinlab option looks like a number)."""
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)$", re.IGNORECASE
+        )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -305,11 +307,8 @@ def _cmd_series(args: argparse.Namespace) -> CommandOutput:
     for term in report.terms:
         count = term.path_count_text
         if len(count) > 24:
-            try:
-                count = f"{float(term.path_count):.6e}"
-            except OverflowError:  # past the double range: round the exact count
-                from decimal import Decimal  # imported only on this rare path
-                count = f"{Decimal(term.path_count):.6e}"
+            from decimal import Decimal  # imported only for long counts
+            count = f"{Decimal(term.path_count):.6e}"
         human.append(
             f"{term.n_gains:>5} {count:>24} {term.probability:>16.9e} "
             f"{term.cumulative:>16.12f}"
@@ -410,19 +409,17 @@ def _cmd_transform(args: argparse.Namespace) -> CommandOutput:
         )
         if rebalanced.warnings:
             human.append(f"rebalanced warnings: {', '.join(rebalanced.warnings)}")
-    header = (
-        "p_loss_adjusted", "p_gain_adjusted", "matched_mean",
-        "target_gain_factor", "target_loss_factor",
-        "rebalanced_distance", "rebalanced_distance_exact", "warnings",
-    )
-    rows = [
-        (result.p_loss_adjusted, result.p_gain_adjusted, result.matched_mean,
-         args.target_gain_factor, args.target_loss_factor,
-         rebalanced.distance if rebalanced else "",
-         rebalanced.distance_exact if rebalanced else "",
-         ";".join(rebalanced.warnings if rebalanced else result.warnings))
-    ]
-    return CommandOutput(payload, human, header, rows)
+    row = {
+        "p_loss_adjusted": result.p_loss_adjusted,
+        "p_gain_adjusted": result.p_gain_adjusted,
+        "matched_mean": result.matched_mean,
+        "target_gain_factor": args.target_gain_factor,
+        "target_loss_factor": args.target_loss_factor,
+        "rebalanced_distance": rebalanced.distance if rebalanced else "",
+        "rebalanced_distance_exact": rebalanced.distance_exact if rebalanced else "",
+        "warnings": ";".join(rebalanced.warnings if rebalanced else result.warnings),
+    }
+    return CommandOutput(payload, human, tuple(row), [tuple(row.values())])
 
 
 def _cmd_compare(args: argparse.Namespace) -> CommandOutput:
@@ -546,15 +543,17 @@ def _cell(value: float | None) -> str:
 
 def _jsonable(value):
     """JSON form of an engine result: dataclass fields in declaration order,
-    tuples and lists as lists, dicts with sorted keys as strings, and
-    non-finite floats as ``None``.  The leaf checks come first: a
-    distribution or a series holds thousands of floats."""
+    tuples and lists as lists, non-finite floats as ``None``, and dicts (the
+    engines' step maps, JSON-ready) as they are.  The leaf checks come
+    first: a series holds thousands of floats."""
     if isinstance(value, float):
         return value if math.isfinite(value) else None
     if isinstance(value, (list, tuple)):
         return [_jsonable(item) for item in value]
-    if isinstance(value, dict):
-        return {str(key): _jsonable(item) for key, item in sorted(value.items())}
     if hasattr(value, "__dataclass_fields__"):
         return {name: _jsonable(getattr(value, name)) for name in value.__dataclass_fields__}
     return value
+
+
+if __name__ == "__main__":
+    entry_point()

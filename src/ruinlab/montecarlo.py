@@ -149,9 +149,9 @@ class SimResult:
 
     ``ruined + censored == trials``; ``stderr`` is the binomial standard
     error of ``ruin_frequency``; ``mean_time_to_ruin`` averages ruined
-    trials only (NaN when nothing ruined).  Ruin-time counts are kept as a
-    sparse map because times share the parity of the distance and cluster
-    near it.
+    trials only (NaN when nothing ruined).  ``time_histogram`` is a sparse
+    ``{step: count}`` map of ints in step order, ready for JSON: ruin times
+    share the parity of the distance and cluster near it.
     """
 
     ruined: int
@@ -199,7 +199,7 @@ def simulate(config: SimConfig, progress: ProgressCallback | None = None) -> Sim
         ruin_frequency=frequency,
         stderr=stderr,
         mean_time_to_ruin=mean_time,
-        time_histogram=dict(histogram),
+        time_histogram=dict(sorted(histogram.items())),
         seed_echo=config.seed,
     )
 

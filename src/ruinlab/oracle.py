@@ -99,9 +99,9 @@ def ruin_probability_dp(
     is its complement.
 
     With ``keep_distribution`` the per-step absorbed mass is returned as a
-    sparse ``{step: mass}`` map over the steps with nonzero mass, all of
-    which share the parity of ``d``; masses that sum past 1 are divided by
-    their sum, so the map agrees with the clamped probability.
+    ``{step: mass}`` map, ready for JSON: int steps of the parity of ``d``,
+    in step order, to their nonzero masses.  Masses summing past 1 are
+    divided by their sum, so the map agrees with the clamped probability.
     """
     check_walk(p, d)
     if horizon < d:

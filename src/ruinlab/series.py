@@ -12,9 +12,8 @@ number of such paths are provided side by side:
   the final step.
 
 Each term carries its count as an exact integer; all counts are built in
-one pass from the ratio of consecutive binomials.  Exact-mode term
-probabilities are :func:`ruinlab.oracle.first_passage_masses`; paper-mode
-ones switch to log space once the direct product could over- or underflow.
+one pass from the ratio of consecutive binomials.  Both modes take their
+term probabilities from :func:`ruinlab.oracle.first_passage_masses`.
 """
 from __future__ import annotations
 
@@ -28,9 +27,6 @@ from .errors import DomainError, ValidityError
 from .oracle import check_walk, first_passage_masses
 
 CoefficientMode = Literal["paper", "exact"]
-
-# Beyond this path length the term probability is evaluated in log space.
-_LOG_SPACE_PATH_LENGTH = 300
 
 
 def paper_coefficient(d: int, n_gains: int) -> int:
@@ -121,12 +117,14 @@ def ruin_series(
         raise DomainError(f"mode must be 'paper' or 'exact', got {mode!r}")
 
     q = 1.0 - p
-    if mode == "exact":
-        counts = _exact_counts(d, max_gains)
-        probabilities = first_passage_masses(p, d, d + 2 * max_gains).tolist()
-    else:
-        counts = _paper_counts(d, max_gains)
-        probabilities = [_term_probability(c, p, q, d, n) for n, c in enumerate(counts)]
+    counts = _exact_counts(d, max_gains)
+    probabilities = first_passage_masses(p, d, d + 2 * max_gains).tolist()
+    if mode == "paper":
+        # both rules give each path q**(d+N) * p**N: scale each mass by the
+        # count ratio, whose int true division is correctly rounded
+        paper = _paper_counts(d, max_gains)
+        probabilities = [m * (c / e) for m, c, e in zip(probabilities, paper, counts)]
+        counts = paper
     cumulative = accumulate(probabilities)
     terms = [SeriesTerm(n, *term) for n, term in enumerate(zip(counts, probabilities, cumulative))]
     return SeriesReport(
@@ -219,20 +217,6 @@ def _check_coefficient_args(d: int, n_gains: int) -> None:
 def _check_approx_args(p: float, d: int) -> float:
     check_walk(p, d)
     return 1.0 - p
-
-
-def _term_probability(count: int, p: float, q: float, d: int, n_gains: int) -> float:
-    if count == 0:
-        return 0.0
-    # direct products are exact for the degenerate probabilities and safe
-    # for short paths; long paths go through log space so huge counts and
-    # tiny powers never overflow or underflow each other
-    if p in (0.0, 1.0) or q == 0.0 or d + 2 * n_gains <= _LOG_SPACE_PATH_LENGTH:
-        return count * q ** (d + n_gains) * p**n_gains
-    log_term = math.log(count) + (d + n_gains) * math.log(q)
-    if n_gains:
-        log_term += n_gains * math.log(p)
-    return math.exp(log_term)
 
 
 def _geometric_tail_bound(terms: list[SeriesTerm], p: float, q: float) -> float:

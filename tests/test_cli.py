@@ -425,10 +425,7 @@ def test_out_of_range_flag_values_say_what_is_wrong(capsys, command, flag):
 
 
 _TRANSFORM = ("transform", "--gain-factor", "0.75")
-
-
-@pytest.mark.parametrize("value", ["-1e-3", "-5e-1"])
-@pytest.mark.parametrize(
+_NEGATIVE_VALUE_FLAGS = pytest.mark.parametrize(
     "argv, flag",
     [
         (("calibrate", "--loss-level", "0.25"), "--loss-factor"),
@@ -443,12 +440,27 @@ _TRANSFORM = ("transform", "--gain-factor", "0.75")
     ],
     ids=["calibrate", "simulate", "transform", "target-loss", "target-gain"],
 )
+
+
+@pytest.mark.parametrize("value", ["-1e-3", "-5e-1"])
+@_NEGATIVE_VALUE_FLAGS
 def test_negative_values_in_scientific_notation_follow_their_flag(capsys, argv, flag, value):
     # argparse takes only -1 and -0.001 style text for a negative number,
     # and read "-1e-3" after a flag as a missing value
     code, joined, _ = run_cli(capsys, *argv, f"{flag}={value}")
     assert code == 0
     assert run_cli(capsys, *argv, flag, value)[:2] == (0, joined)
+
+
+@pytest.mark.parametrize("value", ["-inf", "-Infinity", "-INF", "-nan", "-NaN"])
+@_NEGATIVE_VALUE_FLAGS
+def test_negative_non_finite_values_follow_their_flag(capsys, argv, flag, value):
+    # the space form must name the value's real problem, as the = form does,
+    # not report a missing value
+    code, out, err = run_cli(capsys, *argv, f"{flag}={value}")
+    assert code == 2
+    assert f"argument {flag}: {value!r}" in err
+    assert run_cli(capsys, *argv, flag, value) == (code, out, err)
 
 
 def test_non_integer_horizon_says_it_must_be_a_positive_integer(capsys):
@@ -582,10 +594,11 @@ def test_json_encoder_contract():
         alpha: tuple
         steps: dict
 
-    encoded = _jsonable(Record(math.nan, (1.5, -math.inf, (2,)), {10: 1, 9: math.inf}))
+    encoded = _jsonable(Record(math.nan, (1.5, -math.inf, (2,)), {9: 0.5, 10: 1}))
     assert list(encoded) == ["zeta", "alpha", "steps"]  # declaration order
-    assert encoded == {"zeta": None, "alpha": [1.5, None, [2]], "steps": {"9": None, "10": 1}}
-    assert list(encoded["steps"]) == ["9", "10"]  # sorted as numbers, written as text
+    assert encoded == {"zeta": None, "alpha": [1.5, None, [2]], "steps": {9: 0.5, 10: 1}}
+    # an engine's step map passes through; json writes its int keys as text
+    assert json.dumps(encoded["steps"]) == '{"9": 0.5, "10": 1}'
     assert _jsonable(None) is None
 
 

@@ -396,12 +396,23 @@ def test_batch_sizes_cover_trials_exactly():
     assert sum(_batch_sizes(123_456)) == 123_456
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_time_histogram_is_in_step_order_across_batches(workers):
+    # at fair odds the later batches ruin at steps the first one never saw;
+    # merged in batch order, those steps would land after the first's
+    result = simulate(lattice_config(0.5, 2, 3 * BATCH_TRIALS + 5, 1000, seed=7,
+                                     workers=workers))
+    steps = list(result.time_histogram)
+    assert len(steps) > 100
+    assert steps == sorted(steps)
+
+
 def test_simresult_serialization():
     result = simulate(lattice_config(0.0, 2, 10, 10, seed=1))
     payload = _jsonable(result)
-    assert payload["time_histogram"] == {"2": 10}
+    assert payload["time_histogram"] == {2: 10}
     assert payload["ruined"] == 10
-    json.dumps(payload)
+    assert '"time_histogram": {"2": 10}' in json.dumps(payload)
     empty = _jsonable(simulate(lattice_config(1.0, 2, 10, 10, seed=1)))
     assert empty["mean_time_to_ruin"] is None
 

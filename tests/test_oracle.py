@@ -292,7 +292,7 @@ def test_absorption_result_serialization():
     result = ruin_probability_dp(0.5, 2, 10, keep_distribution=True)
     payload = _jsonable(result)
     assert payload["horizon"] == 10
-    assert payload["ruin_time_distribution"]["2"] == pytest.approx(0.25)
+    assert payload["ruin_time_distribution"][2] == pytest.approx(0.25)
     no_dist = _jsonable(ruin_probability_dp(1.0, 2, 10))
     assert no_dist["expected_time_censored"] is None
     assert no_dist["ruin_time_distribution"] is None

@@ -175,16 +175,36 @@ def test_series_degenerate_probabilities():
 
 
 def test_series_log_space_handoff_is_smooth():
-    # path length d + 2N crosses the log-space threshold inside this report;
-    # terms on both sides must agree with exact rational evaluation
+    # path length d + 2N crosses 300 inside this report (paper mode's old
+    # log-space threshold); terms on both sides, in both modes, must agree
+    # with exact rational evaluation
     p = Fraction(45, 100)
     d = 4
-    counts = [exact_coefficient(d, n) for n in range(181)]
-    report = ruin_series(float(p), d, 180, "exact")
     q = 1 - p
-    for n_gains in (140, 147, 148, 149, 155, 180):
-        exact_term = float(counts[n_gains] * q ** (d + n_gains) * p**n_gains)
-        assert report.terms[n_gains].probability == pytest.approx(exact_term, rel=1e-9)
+    for mode, coefficient in (("exact", exact_coefficient), ("paper", paper_coefficient)):
+        report = ruin_series(float(p), d, 180, mode)
+        for n_gains in (140, 147, 148, 149, 155, 180):
+            exact_term = float(coefficient(d, n_gains) * q ** (d + n_gains) * p**n_gains)
+            assert report.terms[n_gains].probability == pytest.approx(exact_term, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "p, d, max_gains",
+    [(Fraction(31, 64), 5, 1000), (Fraction(7, 16), 1, 1000), (Fraction(19, 32), 8, 1400),
+     (Fraction(1, 1024), 2, 300)],
+    ids=["p31_64-d5", "p7_16-d1", "p19_32-d8", "p1_1024-d2"],
+)
+def test_paper_mode_terms_match_exact_rationals(p, d, max_gains):
+    # dyadic p is exact as a float, so every term has an exact rational value;
+    # at p = 1/1024 the terms for N = 108-123 lie between 1e-262 and 1e-300,
+    # normal doubles that must not underflow to zero
+    report = ruin_series(float(p), d, max_gains, "paper")
+    q = 1 - p
+    for term in report.terms:
+        n = term.n_gains
+        exact_term = float(paper_coefficient(d, n) * q ** (d + n) * p**n)
+        if exact_term > 1e-300:
+            assert term.probability == pytest.approx(exact_term, rel=1e-13, abs=0), n
 
 
 def test_series_ordering_and_gaplessness():

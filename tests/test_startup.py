@@ -19,12 +19,16 @@ WATCHED = ("numpy", *ENGINES, "concurrent.futures.process")
 
 
 def fresh_python(code: str) -> subprocess.CompletedProcess:
+    return run_python("-c", code)
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
     env.pop("RUINLAB_FORMAT", None)
     flags = ["-O"] if sys.flags.optimize else []
     return subprocess.run(
-        [sys.executable, *flags, "-c", code],
+        [sys.executable, *flags, *args],
         env=env, capture_output=True, text=True, timeout=60,
     )
 
@@ -104,6 +108,19 @@ def test_entry_point_exits_zero_for_demo():
     )
     assert proc.returncode == 0, proc.stderr
     assert "2011" in proc.stdout
+
+
+@pytest.mark.parametrize("module", ["ruinlab", "ruinlab.cli"])
+def test_module_entry_points_run_the_cli_without_numpy(module):
+    argv = ["calibrate", "--loss-level", "0.25", "--format", "json"]
+    expected = fresh_python(f"from ruinlab.cli import main\nmain({argv!r})\n")
+    assert expected.returncode == 0, expected.stderr
+    proc = run_python("-X", "importtime", "-m", module, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected.stdout
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+    assert "ruinlab.model" in imported  # the import log is there to read
+    assert "numpy" not in imported
 
 
 def test_package_import_defers_engines_until_a_name_is_used():
