@@ -4,10 +4,10 @@ Every command supports ``--format human|json|csv`` (default from the
 ``RUINLAB_FORMAT`` environment variable, else ``human``).  JSON goes to
 stdout with the run manifest embedded; progress and log lines go to
 stderr.  Exit codes: 0 success, 2 input-domain errors (a bad
-``RUINLAB_FORMAT`` among them), 3 validity errors
-(approximation outside its region, infeasible transform targets), 141
-(128 + SIGPIPE) when the reader closes stdout before the output is written,
-as in ``ruinlab exact ... | head``.
+``RUINLAB_FORMAT`` among them) and inputs too large for memory, 3
+validity errors (approximation outside its region, infeasible transform
+targets), 141 (128 + SIGPIPE) when the reader closes stdout before the
+output is written, as in ``ruinlab exact ... | head``.
 """
 from __future__ import annotations
 
@@ -81,6 +81,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 3
     except (RuinlabError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: not enough memory for this input: {exc}", file=sys.stderr)
         return 2
     try:
         _emit(args, output)

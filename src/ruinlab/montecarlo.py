@@ -171,8 +171,6 @@ def simulate(config: SimConfig, progress: ProgressCallback | None = None) -> Sim
     """
     batches = _batch_sizes(config.trials)
     n = len(batches)
-    columns = ([config.p] * n, [config.distance] * n, [config.max_steps] * n,
-               [config.seed] * n, range(n), batches)
     # a fork-started pool launches all its workers at the first submit
     pool_size = min(config.workers, n, os.cpu_count() or 1)
     histogram: Counter[int] = Counter()
@@ -182,7 +180,7 @@ def simulate(config: SimConfig, progress: ProgressCallback | None = None) -> Sim
         pool = ProcessPoolExecutor(max_workers=pool_size)
         run = partial(pool.map, chunksize=max(1, n // (pool_size * 4)))
     with pool:
-        for done, batch_hist in enumerate(run(_run_batch, *columns), 1):
+        for done, batch_hist in enumerate(run(partial(_run_batch, config), range(n), batches), 1):
             histogram.update(batch_hist)
             if progress is not None:
                 progress(done, n)
@@ -228,22 +226,16 @@ def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _run_batch(
-    p: float,
-    d: int,
-    max_steps: int,
-    seed: int,
-    batch_index: int,
-    size: int,
-) -> dict[int, int]:
+def _run_batch(config: SimConfig, batch_index: int, size: int) -> dict[int, int]:
     """Simulate one batch; returns its ruin-time histogram ``{step: count}``.
 
     Each pass moves the far trials one bridge block each and steps the
     near ones one chunk; when no trial is far the near ones are the whole
     batch and nothing is gathered or scattered.
     """
-    rng = _batch_rng(seed, batch_index)
-    gap = np.full(size, d, dtype=np.int64)
+    p, max_steps = config.p, config.max_steps
+    rng = _batch_rng(config.seed, batch_index)
+    gap = np.full(size, config.distance, dtype=np.int64)
     t = np.zeros(size, dtype=np.int64)
     chunk = _CHUNK_START
     ruin_times = []
@@ -268,8 +260,7 @@ def _run_batch(
         if chunk < _CHUNK_MAX:
             chunk *= 2
 
-    times = np.concatenate(ruin_times) if ruin_times else np.zeros(0, np.int64)
-    steps, counts = np.unique(times, return_counts=True)
+    steps, counts = np.unique(np.concatenate(ruin_times), return_counts=True)
     return dict(zip(steps.tolist(), counts.tolist()))
 
 
@@ -278,26 +269,20 @@ def _bridge(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Advance each far trial by one bridge block.  Returns the trials that
     can still ruin and the ruin times of those that crossed."""
-    q = 1.0 - p
     m = _block_lengths(p, max_steps - t, gap)
-    k = rng.binomial(m, q)
-    lead = 2 * k - m  # net losses over the block
+    k = rng.binomial(m, 1.0 - p)
     t_next = t + m
     # a block with fewer losses than the gap cannot reach the barrier
     maybe = np.flatnonzero(k >= gap)
-    times = np.zeros(0, dtype=np.int64)
-    crossed = np.zeros(gap.size, dtype=bool)
-    if maybe.size:
-        u = rng.random(maybe.size)
-        g, n, x = gap[maybe], m[maybe], k[maybe]
-        lf = _log_factorials(int(n.max()) + 1)
-        hit = u < _crossing(g, n, x, lf)
-        if hit.any():
-            rows = maybe[hit]
-            crossed[rows] = True
-            times = t[rows] + _ballot_steps(g[hit], n[hit], x[hit], u[hit], lf)
-    gap = gap - lead
-    live = ~crossed & (gap <= max_steps - t_next)
+    u = rng.random(maybe.size)  # no bits are drawn when no block can cross
+    g, n, x = gap[maybe], m[maybe], k[maybe]
+    lf = _log_factorials(int(n.max(initial=0)) + 1)
+    hit = u < _crossing(g, n, x, lf)
+    rows = maybe[hit]
+    times = t[rows] + _ballot_steps(g[hit], n[hit], x[hit], u[hit], lf)
+    gap = gap - (2 * k - m)  # 2k - m: net losses over the block
+    live = gap <= max_steps - t_next
+    live[rows] = False
     return gap[live], t_next[live], times
 
 
@@ -408,8 +393,7 @@ def _losses(rng: np.random.Generator, p: float, cells: int) -> np.ndarray:
     bytes_ = raw.view(np.uint8)
     loss = bytes_ > cut
     ties = np.flatnonzero(bytes_ == cut)
-    if ties.size:
-        loss[ties] = rng.random(ties.size) >= 256.0 * p - cut
+    loss[ties] = rng.random(ties.size) >= 256.0 * p - cut
     return loss
 
 
@@ -426,8 +410,6 @@ def _pattern_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 _NET, _PEAK, _FIRST = _pattern_tables()
-# Multiplying eight 0/1 bytes (little-endian) by this gathers them in the top byte.
-_PACK = np.uint64(0x8040201008040201)
 
 
 def _step(
@@ -447,10 +429,9 @@ def _step(
     n = gap.size
     remaining = max_steps - t
     steps = min(chunk, -(-int(remaining.max()) // 8) * 8)
-    loss = _losses(rng, p, n * steps)  # row-major: trial i owns cells [i*steps, (i+1)*steps)
-    # eight 0/1 bytes to one pattern byte, first step in the high bit
-    groups = ((loss.view("<u8") * _PACK) >> np.uint64(56)).astype(np.uint8)
-    groups = groups.reshape(n, steps // 8)
+    # row-major: trial i owns cells [i*steps, (i+1)*steps); eight cells
+    # make one pattern byte, first step in the high bit
+    groups = np.packbits(_losses(rng, p, n * steps)).reshape(n, steps // 8)
     net = _NET[groups]
     walk = np.cumsum(net, axis=1, dtype=np.int16)  # net losses after each byte
     need = gap.astype(np.int16)[:, None] - (walk - net)  # still needed at its start

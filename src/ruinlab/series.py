@@ -117,8 +117,9 @@ def ruin_series(
         raise DomainError(f"mode must be 'paper' or 'exact', got {mode!r}")
 
     q = 1.0 - p
-    counts = _exact_counts(d, max_gains)
+    # the kernel first: an input too large for memory fails at once
     probabilities = first_passage_masses(p, d, d + 2 * max_gains).tolist()
+    counts = _exact_counts(d, max_gains)
     if mode == "paper":
         # both rules give each path q**(d+N) * p**N: scale each mass by the
         # count ratio, whose int true division is correctly rounded

@@ -192,6 +192,36 @@ def bankroll_lattice_crosscheck(
     return lattice_steps, bankroll_steps
 
 
+def first_passage_masses_reference(p: float, d: int, horizon: int) -> list[float]:
+    """First-passage masses ``f(d + 2N)``, ``N = 0 .. (horizon - d) // 2``,
+    one factor at a time in plain floats.
+
+    The target is the package kernel's bits, not just its values: ``d``
+    factors of ``q``, then the ratios ``(d+2N)(d+2N+1) / ((N+1)(d+N+1)) * p * q``
+    in the same operation order.  Each factor splits by ``math.frexp``
+    into a mantissa and a power of two; the mantissas multiply in runs of
+    1000, each run's products scaled by the previous run's last product
+    (its mantissa and power kept apart), and ``math.ldexp`` puts the
+    summed powers back."""
+    q = 1.0 - p
+    factors = [q] * d
+    for n in range((horizon - d) // 2):
+        length = d + 2.0 * n
+        factors.append(length * (length + 1.0) / ((n + 1.0) * (d + n + 1.0)) * p * q)
+    masses = []
+    exponent, scale, shift = 0, 1.0, 0
+    for start in range(0, len(factors), 1000):
+        product = 1.0
+        for factor in factors[start : start + 1000]:
+            mantissa, power = math.frexp(factor)
+            product *= mantissa
+            exponent += power
+            masses.append(math.ldexp(product * scale, exponent + shift))
+        scale, rescale = math.frexp(product * scale)
+        shift += rescale
+    return masses[d - 1 :]
+
+
 # The surviving mass of a +/-1 walk spreads like sqrt(t); tracking this
 # many standard deviations above the start keeps truncation leakage far
 # below double-precision noise while the state stays O(sqrt(horizon)).

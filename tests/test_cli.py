@@ -15,6 +15,12 @@ from ruinlab import exact_coefficient, ruin_probability_dp
 from ruinlab.cli import _build_parser, _jsonable, main
 
 
+# the CLI in a fresh interpreter, for tests that need a real process
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+CLI = (sys.executable, "-c",
+       "import sys; from ruinlab.cli import main; sys.exit(main(sys.argv[1:]))")
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -201,13 +207,10 @@ def test_simulate_loss_factor_without_loss_level_is_an_error(capsys, barrier):
 def test_closed_stdout_exits_141_without_a_traceback():
     # the JSON is megabytes, far past a pipe's buffer, so the writer is
     # still writing when the reader goes away
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    cli = "import sys; from ruinlab.cli import main; sys.exit(main(sys.argv[1:]))"
     proc = subprocess.Popen(
-        [sys.executable, "-c", cli, "exact", "--p", "0.5", "--distance", "3",
+        [*CLI, "exact", "--p", "0.5", "--distance", "3",
          "--horizon", "200000", "--distribution", "--format", "json"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=SRC),
     )
     head = proc.stdout.read(10)
     proc.stdout.close()
@@ -506,6 +509,26 @@ def test_domain_error_exit_code(capsys):
                            "--horizon", "4")
     assert code == 2
     assert "horizon" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("exact", "--p", "0.5", "--distance", "3", "--horizon", str(10**16)),
+        ("series", "--p", "0.5", "--distance", "1", "--max-gains", str(10**16)),
+    ],
+    ids=["exact", "series"],
+)
+def test_input_too_large_for_memory_exits_2(argv):
+    # each asks for 35-71 PiB at once, which no allocator grants; exact
+    # used to exit 1 with a traceback and series to spin in its path
+    # counts, so a subprocess with a timeout keeps a relapse from hanging
+    proc = subprocess.run([*CLI, *argv], capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=SRC))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: not enough memory for this input: ")
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize(

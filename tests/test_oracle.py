@@ -16,6 +16,7 @@ from ruinlab.cli import _jsonable
 from ruinlab.oracle import first_passage_masses
 
 from oracles import (
+    first_passage_masses_reference,
     ruin_by_step_dp,
     ruin_probability_by_enumeration,
     ruin_time_distribution_by_enumeration,
@@ -136,6 +137,25 @@ def test_ruin_time_distribution_below_one_is_the_raw_masses():
     assert result.ruin_time_distribution == raw  # bit-identical, not rescaled
 
 
+@pytest.mark.parametrize(
+    "p, d, horizon",
+    [
+        (0.0, 3, 1000),
+        (0.001, 2, 3000),
+        (0.3, 5, 20_001),
+        (0.45, 1300, 100_000),  # q**d underflows, later masses do not
+        (0.49, 2, 300_000),
+        (0.5 - 1e-9, 1, 100_001),
+        (0.5, 3, 300_000),
+        (0.6, 7, 50_000),
+        (0.999, 2, 3000),
+        (1.0, 4, 1000),
+    ],
+)
+def test_kernel_is_bit_identical_to_the_plain_float_reference(p, d, horizon):
+    # the reference a kernel without numpy must reproduce bit for bit
+    assert first_passage_masses(p, d, horizon).tolist() == first_passage_masses_reference(
+        p, d, horizon)
 @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 0.7, 1.0])
 @pytest.mark.parametrize("d", [1, 2, 7, 50, 300])
 def test_horizon_of_exactly_d_is_the_straight_loss_run(p, d):
