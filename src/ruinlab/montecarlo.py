@@ -122,6 +122,8 @@ class SimConfig:
             raise DomainError(f"distance must be an integer, got {self.distance}")
         if self.trials < 1:
             raise DomainError(f"trials must be >= 1, got {self.trials}")
+        if self.trials > _MAX_STEPS:
+            raise DomainError(f"trials must be <= 2**62, got {self.trials}")
         if self.max_steps < self.distance:
             raise DomainError(
                 f"max_steps must be >= distance {self.distance}, "
@@ -169,8 +171,7 @@ def simulate(config: SimConfig, progress: ProgressCallback | None = None) -> Sim
     Deterministic for a fixed seed: batches are merged in index order and
     all aggregates are integers until the final divisions.
     """
-    batches = _batch_sizes(config.trials)
-    n = len(batches)
+    n = -(-config.trials // BATCH_TRIALS)
     # a fork-started pool launches all its workers at the first submit
     pool_size = min(config.workers, n, os.cpu_count() or 1)
     histogram: Counter[int] = Counter()
@@ -180,7 +181,7 @@ def simulate(config: SimConfig, progress: ProgressCallback | None = None) -> Sim
         pool = ProcessPoolExecutor(max_workers=pool_size)
         run = partial(pool.map, chunksize=max(1, n // (pool_size * 4)))
     with pool:
-        for done, batch_hist in enumerate(run(partial(_run_batch, config), range(n), batches), 1):
+        for done, batch_hist in enumerate(run(partial(_run_batch, config), range(n)), 1):
             histogram.update(batch_hist)
             if progress is not None:
                 progress(done, n)
@@ -216,24 +217,20 @@ def engine_record() -> dict:
     }
 
 
-def _batch_sizes(trials: int) -> list[int]:
-    full, rest = divmod(trials, BATCH_TRIALS)
-    return [BATCH_TRIALS] * full + ([rest] if rest else [])
-
-
 def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
     key = np.array([seed, batch_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _run_batch(config: SimConfig, batch_index: int, size: int) -> dict[int, int]:
+def _run_batch(config: SimConfig, batch_index: int) -> dict[int, int]:
     """Simulate one batch; returns its ruin-time histogram ``{step: count}``.
 
-    Each pass moves the far trials one bridge block each and steps the
-    near ones one chunk; when no trial is far the near ones are the whole
-    batch and nothing is gathered or scattered.
-    """
+    The batch's bits depend on this order: each pass bridges the far trials,
+    if any, then steps the near ones one chunk, if any, and the survivors
+    enter the next pass far trials first.  The chunk doubles on each pass
+    that steps, up to ``_CHUNK_MAX``."""
     p, max_steps = config.p, config.max_steps
+    size = min(BATCH_TRIALS, config.trials - batch_index * BATCH_TRIALS)
     rng = _batch_rng(config.seed, batch_index)
     gap = np.full(size, config.distance, dtype=np.int64)
     t = np.zeros(size, dtype=np.int64)
@@ -242,23 +239,12 @@ def _run_batch(config: SimConfig, batch_index: int, size: int) -> dict[int, int]
 
     while gap.size:
         far = gap > _BLOCK_MIN_GAP
-        n_far = int(np.count_nonzero(far))
-        if n_far == gap.size:
-            gap, t, times = _bridge(rng, p, max_steps, gap, t)
-            ruin_times.append(times)
-            continue
-        if n_far:
-            far_gap, far_t, times = _bridge(rng, p, max_steps, gap[far], t[far])
-            ruin_times.append(times)
-            near = ~far
-            gap, t = gap[near], t[near]
-        gap, t, times = _step(rng, p, max_steps, gap, t, chunk)
+        moved = [_bridge(rng, p, max_steps, gap[far], t[far])] if far.any() else []
+        if not far.all():
+            moved.append(_step(rng, p, max_steps, gap[~far], t[~far], chunk))
+            chunk = min(2 * chunk, _CHUNK_MAX)
+        gap, t, times = (np.concatenate(parts) for parts in zip(*moved))
         ruin_times.append(times)
-        if n_far:
-            gap = np.concatenate((far_gap, gap))
-            t = np.concatenate((far_t, t))
-        if chunk < _CHUNK_MAX:
-            chunk *= 2
 
     steps, counts = np.unique(np.concatenate(ruin_times), return_counts=True)
     return dict(zip(steps.tolist(), counts.tolist()))
@@ -488,13 +474,14 @@ def compare_methods(
     horizon = dp_horizon if dp_horizon is not None else config.max_steps
     reference = ruin_probability_dp(p, d, horizon)
     ruin_ref = reference.ruin_probability_within_horizon
+    # before the simulation: an oversized series fails at once, not as a row
+    series_exact = ruin_series(p, d, max_gains, "exact").cumulative
     sim = simulate(config, progress=progress)
 
     series_note = f"cumulative at max_gains={max_gains}"
     ruin_rows = [
         MethodEstimate("dp", ruin_ref, True, f"reference, horizon={horizon}", 0.0),
-        _estimate("series_exact", lambda: ruin_series(p, d, max_gains, "exact").cumulative,
-                  ruin_ref, series_note),
+        _estimate("series_exact", lambda: series_exact, ruin_ref, series_note),
         _estimate("series_paper", lambda: ruin_series(p, d, max_gains, "paper").cumulative,
                   ruin_ref, series_note),
         _estimate("approx_arith_geometric", lambda: approx_arith_geometric(p, d), ruin_ref),

@@ -65,6 +65,13 @@ def check_walk(p: float, d: int) -> None:
         raise DomainError(f"distance must be >= 1, got {d}")
 
 
+def check_horizon(horizon: int, name: str = "horizon") -> None:
+    """Reject a kernel horizon past 2**59 steps: the kernel holds a double
+    per step, and numpy cannot index 2**60 of them."""
+    if horizon > 2**59:
+        raise DomainError(f"{name} must be <= 2**59, got {horizon}")
+
+
 @dataclass(frozen=True)
 class AbsorptionResult:
     """Ruin mass absorbed within a finite horizon.
@@ -109,6 +116,7 @@ def ruin_probability_dp(
             f"horizon must be >= distance (ruin needs at least d steps), "
             f"got horizon={horizon}, d={d}"
         )
+    check_horizon(horizon)
     masses = first_passage_masses(p, d, horizon)
     steps = d + 2 * np.arange(len(masses))
     total = math.fsum(masses)

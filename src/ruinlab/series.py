@@ -24,7 +24,7 @@ from itertools import accumulate
 from typing import Literal
 
 from .errors import DomainError, ValidityError
-from .oracle import check_walk, first_passage_masses
+from .oracle import check_horizon, check_walk, first_passage_masses
 
 CoefficientMode = Literal["paper", "exact"]
 
@@ -113,6 +113,7 @@ def ruin_series(
     check_walk(p, d)
     if max_gains < 0:
         raise DomainError(f"max_gains must be >= 0, got {max_gains}")
+    check_horizon(d + 2 * max_gains, "distance + 2 * max_gains")
     if mode not in ("paper", "exact"):
         raise DomainError(f"mode must be 'paper' or 'exact', got {mode!r}")
 

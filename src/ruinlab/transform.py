@@ -93,7 +93,10 @@ def rebalance(
             f"({target_loss_factor}, {target_gain_factor}); the target legs "
             f"cannot reproduce the original drift"
         )
-    p_loss = (target_gain_factor - mean) / (target_gain_factor - target_loss_factor)
+    # halve the legs when their spread overflows: halving a normal double is exact
+    h = 1.0 if math.isfinite(target_gain_factor - target_loss_factor) else 0.5
+    gain, loss = h * target_gain_factor, h * target_loss_factor
+    p_loss = (gain - h * mean) / (gain - loss)
     p_gain = 1.0 - p_loss
     return TransformResult(
         original=model,

@@ -174,6 +174,13 @@ def test_simulate_requires_seed(capsys):
     assert "--seed" in err
 
 
+def test_simulate_requires_a_barrier(capsys):
+    code, out, err = run_cli(capsys, "simulate", "--p", "0.5", "--seed", "1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: one of --distance or --loss-level is required\n"
+
+
 def test_simulate_loss_level_route(capsys):
     payload = run_json(
         capsys, "simulate", "--p", "0", "--loss-level", "0.25",
@@ -242,6 +249,15 @@ def test_simulate_past_int64_names_the_horizon(capsys):
     assert code == 2
     assert out == ""
     assert "max_steps must be <= 2**62" in err
+
+
+def test_simulate_past_the_trial_bound_names_trials(capsys):
+    # used to exit 2 with "cannot fit 'int' into an index-sized integer"
+    code, out, err = run_cli(capsys, "simulate", "--p", "0.5", "--distance", "2",
+                             "--trials", str(10**23), "--seed", "1")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: trials must be <= 2**62, got {10**23}\n"
 
 
 def test_simulate_replaying_manifest_is_bit_identical(capsys):
@@ -529,6 +545,34 @@ def test_input_too_large_for_memory_exits_2(argv):
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: not enough memory for this input: ")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("exact", "--p", "0.5", "--distance", "3", "--horizon", str(10**30)),
+         f"horizon must be <= 2**59, got {10**30}"),
+        (("exact", "--p", "0.5", "--distance", str(10**23), "--horizon", str(10**23)),
+         f"horizon must be <= 2**59, got {10**23}"),
+        (("series", "--p", "0.5", "--distance", "3", "--max-gains", str(10**30)),
+         f"distance + 2 * max_gains must be <= 2**59, got {3 + 2 * 10**30}"),
+        (("series", "--p", "0.5", "--distance", str(10**23), "--max-gains", "0"),
+         f"distance + 2 * max_gains must be <= 2**59, got {10**23}"),
+        (("compare", "--p", "0.5", "--distance", "3", "--max-gains", str(10**20),
+          "--seed", "1"),
+         f"distance + 2 * max_gains must be <= 2**59, got {3 + 2 * 10**20}"),
+    ],
+    ids=["exact-horizon", "exact-distance", "series-max-gains", "series-distance",
+         "compare-max-gains"],
+)
+def test_inputs_past_the_kernel_bound_name_their_flag(capsys, argv, message):
+    # numpy refused these arrays with "Maximum allowed size/dimension
+    # exceeded", and compare only after its whole simulation; the one
+    # stderr line also shows that compare ran no batch
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -24,7 +24,6 @@ from ruinlab.montecarlo import (
     _BRIDGE_MAX,
     BATCH_TRIALS,
     _ballot_steps,
-    _batch_sizes,
     _crossing,
     _log_factorials,
     _losses,
@@ -388,12 +387,22 @@ def test_config_has_only_the_fields_simulate_reads():
     assert SimConfig.for_lattice(0.6, 3, 10, 100, 42, 2) == SimConfig(0.6, 3, 10, 100, 42, 2)
 
 
-def test_batch_sizes_cover_trials_exactly():
-    assert _batch_sizes(1) == [1]
-    assert _batch_sizes(BATCH_TRIALS) == [BATCH_TRIALS]
-    sizes = _batch_sizes(2 * BATCH_TRIALS + 17)
-    assert sizes == [BATCH_TRIALS, BATCH_TRIALS, 17]
-    assert sum(_batch_sizes(123_456)) == 123_456
+def test_batches_cover_trials_exactly():
+    # at p = 0 every trial ruins on step 1, so each trial of each batch counts
+    for trials, batches in ((1, 1), (BATCH_TRIALS, 1), (2 * BATCH_TRIALS + 17, 3)):
+        progress = []
+        result = simulate(lattice_config(0.0, 1, trials, 1, seed=5),
+                          progress=lambda done, total: progress.append((done, total)))
+        assert (result.ruined, result.censored) == (trials, 0)
+        assert result.time_histogram == {1: trials}
+        assert progress == [(done, batches) for done in range(1, batches + 1)]
+
+
+def test_trials_past_the_step_bound_are_refused():
+    # without a batch list, an unbounded count would run batch after batch
+    assert SimConfig(0.5, 2, trials=2**62, max_steps=2, seed=1).trials == 2**62
+    with pytest.raises(DomainError, match="trials must be <= 2\\*\\*62, got 4611686018427387905"):
+        SimConfig(0.5, 2, trials=2**62 + 1, max_steps=2, seed=1)
 
 
 @pytest.mark.parametrize("workers", [1, 2])

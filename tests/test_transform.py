@@ -68,6 +68,27 @@ def test_rebalance_preserves_mean_and_bounds():
         assert rebalanced_mean == pytest.approx(mean, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "model, gain, loss, p_loss",
+    [
+        # the legs' spread overflows: p_loss_adjusted used to read 0.0, and
+        # `transform` printed it with exit 0
+        (TrialModel(0.5, 1e308, -0.5), 1.5e308, -1e308, 0.4),
+        (TrialModel(0.5, 1.7e308, -0.5), 1.7e308, -1.7e308, 0.25),
+        # subnormal legs: halving them would round both to zero
+        (TrialModel(0.5, 0.5, -0.5), 5e-324, -5e-324, 0.5),
+    ],
+    ids=["overflowing-spread", "largest-legs", "subnormal-legs"],
+)
+def test_rebalance_solves_legs_at_the_ends_of_the_double_range(model, gain, loss, p_loss):
+    result = rebalance(model, gain, loss)
+    assert result.p_loss_adjusted == pytest.approx(p_loss, rel=1e-15)
+    assert result.p_gain_adjusted == pytest.approx(1.0 - p_loss, rel=1e-15)
+    # the mean, from halved legs so no product overflows
+    half_mean = result.p_gain_adjusted * (gain / 2) + result.p_loss_adjusted * (loss / 2)
+    assert half_mean == pytest.approx(result.matched_mean / 2, rel=1e-15, abs=1e-323)
+
+
 def test_rebalance_identity_on_original_legs():
     for p in (0.2, 0.5, 0.8):
         model = TrialModel(p, 0.75, -0.4)
