@@ -177,6 +177,14 @@ def _build_parser() -> argparse.ArgumentParser:
         default=os.environ.get(FORMAT_ENV_VAR, "human"),
         help=f"output format (default from ${FORMAT_ENV_VAR}, else human)",
     )
+    walk = _Parser(add_help=False)  # series, exact, compare
+    walk.add_argument("--p", type=_probability, required=True, help="per-trial gain probability")
+    walk.add_argument("--distance", type=_positive_int, required=True)
+    run = _Parser(add_help=False)  # simulate, compare
+    run.add_argument("--trials", type=_positive_int, default=DEFAULT_TRIALS)
+    run.add_argument("--max-steps", type=_positive_int, default=DEFAULT_HORIZON)
+    run.add_argument("--seed", type=_seed, required=True, help="required: no silent entropy")
+    run.add_argument("--workers", type=_positive_int, default=1)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser(
@@ -190,22 +198,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "series",
-        parents=[common],
+        parents=[common, walk],
         help="evaluate the combinatorial ruin series",
     )
-    p.add_argument("--p", type=_probability, required=True, help="per-trial gain probability")
-    p.add_argument("--distance", type=_positive_int, required=True)
     p.add_argument("--max-gains", type=_nonnegative_int, default=DEFAULT_MAX_GAINS)
     p.add_argument("--mode", choices=("paper", "exact"), default="exact")
     p.set_defaults(handler=_cmd_series)
 
     p = sub.add_parser(
         "exact",
-        parents=[common],
+        parents=[common, walk],
         help="exact ruin probability within a horizon (first-passage masses)",
     )
-    p.add_argument("--p", type=_probability, required=True)
-    p.add_argument("--distance", type=_positive_int, required=True)
     p.add_argument("--horizon", type=_positive_int, default=DEFAULT_HORIZON)
     p.add_argument(
         "--distribution",
@@ -216,17 +220,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "simulate",
-        parents=[common],
+        parents=[common, run],
         help="Monte Carlo simulation of the ruin process",
     )
     p.add_argument("--p", type=_probability, required=True)
     p.add_argument("--distance", type=_positive_int)
     p.add_argument("--loss-level", type=_loss_level, help="alternative to --distance")
     p.add_argument("--loss-factor", type=_loss_factor, default=DEFAULT_LOSS_FACTOR)
-    p.add_argument("--trials", type=_positive_int, default=DEFAULT_TRIALS)
-    p.add_argument("--max-steps", type=_positive_int, default=DEFAULT_HORIZON)
-    p.add_argument("--seed", type=_seed, required=True, help="required: no silent entropy")
-    p.add_argument("--workers", type=_positive_int, default=1)
     p.set_defaults(handler=_cmd_simulate)
 
     p = sub.add_parser(
@@ -248,15 +248,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "compare",
-        parents=[common],
+        parents=[common, walk, run],
         help="align series, approximations, closed form, DP, and Monte Carlo",
     )
-    p.add_argument("--p", type=_probability, required=True)
-    p.add_argument("--distance", type=_positive_int, required=True)
-    p.add_argument("--trials", type=_positive_int, default=DEFAULT_TRIALS)
-    p.add_argument("--max-steps", type=_positive_int, default=DEFAULT_HORIZON)
-    p.add_argument("--seed", type=_seed, required=True)
-    p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--max-gains", type=_nonnegative_int, default=DEFAULT_MAX_GAINS)
     p.add_argument(
         "--horizon",
@@ -296,9 +290,6 @@ def _cmd_calibrate(args: argparse.Namespace) -> CommandOutput:
 def _cmd_series(args: argparse.Namespace) -> CommandOutput:
     report = _engines.ruin_series(args.p, args.distance, args.max_gains, args.mode)
     result = _jsonable(report)
-    for encoded, term in zip(result["terms"], report.terms):
-        # exact decimal text: JSON readers would round a count past 2**53
-        encoded["path_count"] = term.path_count_text
     tail = "inf" if math.isinf(report.tail_bound) else _fmt(report.tail_bound)
     human = [
         f"p={_fmt(args.p)} distance={args.distance} mode={args.mode}",
@@ -307,8 +298,9 @@ def _cmd_series(args: argparse.Namespace) -> CommandOutput:
         "",
         f"{'N':>5} {'count':>24} {'probability':>16} {'cumulative':>16}",
     ]
-    for term in report.terms:
-        count = term.path_count_text
+    for encoded, term in zip(result["terms"], report.terms):
+        # exact decimal text: JSON readers would round a count past 2**53
+        count = encoded["path_count"] = _count_text(term.path_count)
         if len(count) > 24:
             from decimal import Decimal  # imported only for long counts
             count = f"{Decimal(term.path_count):.6e}"
@@ -542,6 +534,16 @@ def _fmt(value: float) -> str:
 
 def _cell(value: float | None) -> str:
     return "-" if value is None else f"{value:.9g}"
+
+
+def _count_text(count: int) -> str:
+    """Exact decimal digits of a path count; past Python's int-to-str digit
+    limit (4300 by default) through ``Decimal``, which it spares."""
+    try:
+        return str(count)
+    except ValueError:
+        from decimal import Decimal  # imported only on this rare path
+        return str(Decimal(count))
 
 
 def _jsonable(value):

@@ -54,6 +54,7 @@ from .errors import DomainError, ValidityError
 # not called here: the benchmark's tracer wraps the name montecarlo.calibrate
 from .model import calibrate  # noqa: F401
 from .oracle import (
+    check_horizon,
     check_walk,
     ruin_probability_dp,
     ruin_probability_closed_form,
@@ -472,6 +473,8 @@ def compare_methods(
     """Line up every estimator of the (p, d) ruin problem in one table."""
     p, d = config.p, config.distance
     horizon = dp_horizon if dp_horizon is not None else config.max_steps
+    if dp_horizon is None:  # the horizon is then max_steps: its bound names max_steps
+        check_horizon(horizon, "max_steps")
     reference = ruin_probability_dp(p, d, horizon)
     ruin_ref = reference.ruin_probability_within_horizon
     # before the simulation: an oversized series fails at once, not as a row

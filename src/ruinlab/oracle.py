@@ -27,7 +27,7 @@ from .errors import DomainError
 _RESCALE_EVERY = 1000
 
 
-def first_passage_masses(p: float, d: int, horizon: int) -> np.ndarray:
+def first_passage_masses(p: float, d: int, horizon: int) -> list[float]:
     """First-passage masses ``f(d + 2N)`` for ``N = 0 .. (horizon - d) // 2``.
 
     One running product: ``d`` factors of ``q`` give ``f(d) = q**d``, then
@@ -54,7 +54,7 @@ def first_passage_masses(p: float, d: int, horizon: int) -> np.ndarray:
         products[start:stop] = np.ldexp(block, exponent[start:stop] + shift)
         scale, rescale = math.frexp(block[-1])
         shift += rescale
-    return products[d - 1 :]
+    return products[d - 1 :].tolist()
 
 
 def check_walk(p: float, d: int) -> None:
@@ -118,15 +118,14 @@ def ruin_probability_dp(
         )
     check_horizon(horizon)
     masses = first_passage_masses(p, d, horizon)
-    steps = d + 2 * np.arange(len(masses))
+    steps = range(d, horizon + 1, 2)
     total = math.fsum(masses)
     ruin_probability = min(total, 1.0)
-    mean_time = math.fsum(steps * masses) / total if total > 0.0 else math.nan
+    mean_time = math.fsum(s * m for s, m in zip(steps, masses)) / total if total > 0.0 else math.nan
     distribution = None
     if keep_distribution:
-        hit = np.flatnonzero(masses)
-        kept = masses[hit] / total if total > 1.0 else masses[hit]
-        distribution = dict(zip(steps[hit].tolist(), kept.tolist()))
+        norm = max(total, 1.0)
+        distribution = {step: mass / norm for step, mass in zip(steps, masses) if mass}
     return AbsorptionResult(
         ruin_probability, horizon, mean_time, 1.0 - ruin_probability, distribution
     )

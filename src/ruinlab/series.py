@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate
 from typing import Literal
 
@@ -68,16 +67,6 @@ class SeriesTerm:
     probability: float
     cumulative: float
 
-    @cached_property
-    def path_count_text(self) -> str:
-        """Exact decimal digits of ``path_count``; past Python's int-to-str
-        digit limit (4300 by default) through ``Decimal``, which it spares."""
-        try:
-            return str(self.path_count)
-        except ValueError:
-            from decimal import Decimal  # imported only on this rare path
-            return str(Decimal(self.path_count))
-
 
 @dataclass(frozen=True)
 class SeriesReport:
@@ -108,7 +97,8 @@ def ruin_series(
     """Evaluate the ruin series for gain counts ``N = 0 .. max_gains``.
 
     In ``exact`` mode the cumulative sum at ``N`` is exactly the
-    probability of ruin within ``d + 2N`` trials.
+    probability of ruin within ``d + 2N`` trials, clamped to 1 as the
+    horizon oracle's is.
     """
     check_walk(p, d)
     if max_gains < 0:
@@ -119,15 +109,16 @@ def ruin_series(
 
     q = 1.0 - p
     # the kernel first: an input too large for memory fails at once
-    probabilities = first_passage_masses(p, d, d + 2 * max_gains).tolist()
+    probabilities = first_passage_masses(p, d, d + 2 * max_gains)
     counts = _exact_counts(d, max_gains)
+    limit = 1.0  # the masses of disjoint events: rounding must not carry their sum past 1
     if mode == "paper":
         # both rules give each path q**(d+N) * p**N: scale each mass by the
         # count ratio, whose int true division is correctly rounded
         paper = _paper_counts(d, max_gains)
         probabilities = [m * (c / e) for m, c, e in zip(probabilities, paper, counts)]
-        counts = paper
-    cumulative = accumulate(probabilities)
+        counts, limit = paper, math.inf  # overcounts: the sums show it
+    cumulative = (min(total, limit) for total in accumulate(probabilities))
     terms = [SeriesTerm(n, *term) for n, term in enumerate(zip(counts, probabilities, cumulative))]
     return SeriesReport(
         p_gain=p,

@@ -91,7 +91,7 @@ def rebalance(
         raise InfeasibleTargetError(
             f"per-trial mean {mean} is outside the open interval "
             f"({target_loss_factor}, {target_gain_factor}); the target legs "
-            f"cannot reproduce the original drift"
+            f"(target_loss_factor, target_gain_factor) cannot reproduce the original drift"
         )
     # halve the legs when their spread overflows: halving a normal double is exact
     h = 1.0 if math.isfinite(target_gain_factor - target_loss_factor) else 0.5

@@ -380,6 +380,68 @@ def test_transform_names_the_target_loss_factor(capsys, target_loss):
     assert f"got {float(target_loss)}" in err
 
 
+# (subcommand, flag, dest, type, default, required) of every flag, recorded
+# before the flags shared by several subcommands moved into parent parsers
+_PARSER_SURFACE = [
+    ("calibrate", "--format", "format", None, "human", False),
+    ("calibrate", "--loss-level", "loss_level", "_loss_level", None, True),
+    ("calibrate", "--loss-factor", "loss_factor", "_loss_factor", -0.5, False),
+    ("series", "--format", "format", None, "human", False),
+    ("series", "--p", "p", "_probability", None, True),
+    ("series", "--distance", "distance", "_positive_int", None, True),
+    ("series", "--max-gains", "max_gains", "_nonnegative_int", 200, False),
+    ("series", "--mode", "mode", None, "exact", False),
+    ("exact", "--format", "format", None, "human", False),
+    ("exact", "--p", "p", "_probability", None, True),
+    ("exact", "--distance", "distance", "_positive_int", None, True),
+    ("exact", "--horizon", "horizon", "_positive_int", 100000, False),
+    ("exact", "--distribution", "distribution", None, False, False),
+    ("simulate", "--format", "format", None, "human", False),
+    ("simulate", "--p", "p", "_probability", None, True),
+    ("simulate", "--distance", "distance", "_positive_int", None, False),
+    ("simulate", "--loss-level", "loss_level", "_loss_level", None, False),
+    ("simulate", "--loss-factor", "loss_factor", "_loss_factor", -0.5, False),
+    ("simulate", "--trials", "trials", "_positive_int", 100000, False),
+    ("simulate", "--max-steps", "max_steps", "_positive_int", 100000, False),
+    ("simulate", "--seed", "seed", "_seed", None, True),
+    ("simulate", "--workers", "workers", "_positive_int", 1, False),
+    ("transform", "--format", "format", None, "human", False),
+    ("transform", "--p", "p", "_probability", None, True),
+    ("transform", "--gain-factor", "gain_factor", "_signed_fraction", None, True),
+    ("transform", "--loss-factor", "loss_factor", "_loss_factor", None, True),
+    ("transform", "--target-gain-factor", "target_gain_factor", "_signed_fraction", None, True),
+    ("transform", "--target-loss-factor", "target_loss_factor", "_signed_fraction", None, True),
+    ("transform", "--loss-level", "loss_level", "_loss_level", None, False),
+    ("compare", "--format", "format", None, "human", False),
+    ("compare", "--p", "p", "_probability", None, True),
+    ("compare", "--distance", "distance", "_positive_int", None, True),
+    ("compare", "--trials", "trials", "_positive_int", 100000, False),
+    ("compare", "--max-steps", "max_steps", "_positive_int", 100000, False),
+    ("compare", "--seed", "seed", "_seed", None, True),
+    ("compare", "--workers", "workers", "_positive_int", 1, False),
+    ("compare", "--max-gains", "max_gains", "_nonnegative_int", 200, False),
+    ("compare", "--horizon", "horizon", "_positive_int", None, False),
+    ("demo", "--format", "format", None, "human", False),
+]
+
+
+def test_parser_surface_is_pinned(monkeypatch):
+    # help text and the order of flags may change; what each flag parses to may not
+    monkeypatch.delenv("RUINLAB_FORMAT", raising=False)
+    from ruinlab import cli
+    type_names = {id(value): name for name, value in vars(cli).items() if callable(value)}
+    commands = next(a for a in _build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    surface = [
+        (command, action.option_strings[0], action.dest, type_names.get(id(action.type)),
+         action.default, action.required)
+        for command, subparser in commands.choices.items()
+        for action in subparser._actions
+        if not isinstance(action, argparse._HelpAction)
+    ]
+    assert sorted(surface) == sorted(_PARSER_SURFACE)
+
+
 def _typed_flags():
     parser = _build_parser()
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
@@ -561,9 +623,17 @@ def test_input_too_large_for_memory_exits_2(argv):
         (("compare", "--p", "0.5", "--distance", "3", "--max-gains", str(10**20),
           "--seed", "1"),
          f"distance + 2 * max_gains must be <= 2**59, got {3 + 2 * 10**20}"),
+        # the DP horizon defaults to --max-steps, which the simulation takes
+        # up to 2**62: the message names the flag that was given
+        (("compare", "--p", "0.5", "--distance", "3", "--max-steps", str(2**60),
+          "--seed", "1"),
+         f"max_steps must be <= 2**59, got {2**60}"),
+        (("compare", "--p", "0.5", "--distance", "3", "--max-steps", str(2**60),
+          "--horizon", str(2**60), "--seed", "1"),
+         f"horizon must be <= 2**59, got {2**60}"),
     ],
     ids=["exact-horizon", "exact-distance", "series-max-gains", "series-distance",
-         "compare-max-gains"],
+         "compare-max-gains", "compare-max-steps", "compare-horizon"],
 )
 def test_inputs_past_the_kernel_bound_name_their_flag(capsys, argv, message):
     # numpy refused these arrays with "Maximum allowed size/dimension

@@ -27,6 +27,7 @@ def test_counts_times_and_worker_identity(config):
     result = simulate(config)
     assert result.ruined + result.censored == config.trials
     assert sum(result.time_histogram.values()) == result.ruined
+    assert 0.0 <= result.ruin_frequency <= 1.0
     for step, count in result.time_histogram.items():
         assert config.distance <= step <= config.max_steps
         assert (step - config.distance) % 2 == 0

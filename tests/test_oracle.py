@@ -133,7 +133,7 @@ def test_ruin_time_distribution_below_one_is_the_raw_masses():
     masses = first_passage_masses(p, d, horizon)
     assert math.fsum(masses) < 1.0
     result = ruin_probability_dp(p, d, horizon, keep_distribution=True)
-    raw = {d + 2 * n: m for n, m in enumerate(masses.tolist()) if m}
+    raw = {d + 2 * n: m for n, m in enumerate(masses) if m}
     assert result.ruin_time_distribution == raw  # bit-identical, not rescaled
 
 
@@ -154,8 +154,7 @@ def test_ruin_time_distribution_below_one_is_the_raw_masses():
 )
 def test_kernel_is_bit_identical_to_the_plain_float_reference(p, d, horizon):
     # the reference a kernel without numpy must reproduce bit for bit
-    assert first_passage_masses(p, d, horizon).tolist() == first_passage_masses_reference(
-        p, d, horizon)
+    assert first_passage_masses(p, d, horizon) == first_passage_masses_reference(p, d, horizon)
 @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 0.7, 1.0])
 @pytest.mark.parametrize("d", [1, 2, 7, 50, 300])
 def test_horizon_of_exactly_d_is_the_straight_loss_run(p, d):

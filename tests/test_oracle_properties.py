@@ -1,6 +1,6 @@
 """Property tests of the exact engines over the legal domain at small
 horizons: the first-passage kernel's horizon oracle against the step DP,
-monotonicity, parity, and the exact-mode series."""
+monotonicity, parity, the exact-mode series, and [0, 1] bounds."""
 import math
 
 import pytest
@@ -8,7 +8,15 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from ruinlab import ruin_probability_dp, ruin_series
+from ruinlab import (
+    ValidityError,
+    approx_arith_geometric,
+    approx_simplified,
+    paper_final_form,
+    ruin_probability_closed_form,
+    ruin_probability_dp,
+    ruin_series,
+)
 
 from oracles import ruin_by_step_dp
 
@@ -73,3 +81,26 @@ def test_exact_series_matches_the_step_dp(walk):
     ruin, _, _, _ = ruin_by_step_dp(p, d, horizon)
     series = ruin_series(p, d, (horizon - d) // 2, "exact")
     assert series.cumulative == pytest.approx(ruin, abs=1e-10)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(walks())
+def test_every_exact_engine_gives_a_probability(walk):
+    # paper-mode series are left out: their counts overcount, and the
+    # cumulative reads 9.59 at p = 1/2, d = 2, N = 2000
+    p, d, horizon = walk
+    series = ruin_series(p, d, (horizon - d) // 2, "exact")
+    values = [
+        ruin_probability_dp(p, d, horizon).ruin_probability_within_horizon,
+        ruin_probability_closed_form(p, d),
+        paper_final_form(p, d),
+        *(value for term in series.terms for value in (term.probability, term.cumulative)),
+    ]
+    assert all(0.0 <= value <= 1.0 for value in values), values
+    # the two surrogates inside their validity checks are not bounded by 1:
+    # q**d / (1 - q*d) reads 7/3 at p = 0.3, d = 1
+    for approximation in (approx_arith_geometric, approx_simplified):
+        try:
+            assert approximation(p, d) >= 0.0
+        except ValidityError:
+            pass
