@@ -44,8 +44,9 @@ import math
 import os
 from collections import Counter
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
+from time import perf_counter
 from typing import Callable
 
 import numpy as np
@@ -94,6 +95,12 @@ _BRIDGE_MAX = 2**16
 # Ballot masses held at once by all crossed trials of a pass (8 bytes each).
 _BALLOT_CELLS = 2**18
 
+# Seconds a process pool costs before it saves any, measured on a 2-CPU VM
+# (Python 3.11.7, numpy 2.4.6): importing concurrent.futures.process takes
+# 20-26 ms, and 3 batches of 7 ms took 44 ms on 2 forked workers against
+# 21 ms in process, so starting, feeding and joining them cost about 30 ms.
+_POOL_START_S = 0.05
+
 _MAX_SEED = 2**64 - 1
 # Positions and clocks are int64; below this no block sum can overflow.
 _MAX_STEPS = 2**62
@@ -105,9 +112,9 @@ ProgressCallback = Callable[[int, int], None]
 class SimConfig:
     """Monte Carlo run parameters for the lattice walk (p, distance).
 
-    ``workers`` is advisory: it changes wall-clock time only, never the
-    result.  The process pool holds at most one worker per batch and per
-    CPU.
+    ``workers`` caps the processes a run may use; it changes wall-clock
+    time only, never the result.  Whether a pool starts, and its size,
+    ``simulate`` decides from the first batch's time.
     """
 
     p: float
@@ -170,19 +177,29 @@ def simulate(config: SimConfig, progress: ProgressCallback | None = None) -> Sim
     """Run the lattice simulation described by ``config``.
 
     Deterministic for a fixed seed: batches are merged in index order and
-    all aggregates are integers until the final divisions.
+    all aggregates are integers until the final divisions.  Batch 0 runs
+    here and is timed; batches are identically distributed, so it predicts
+    the rest.  The rest go to a pool of at most ``workers`` processes, one
+    per batch left and per CPU, only when that saves more than
+    ``_POOL_START_S``; else they run here too.
     """
     n = -(-config.trials // BATCH_TRIALS)
+    start = perf_counter()
+    histogram: Counter[int] = Counter(_run_batch(config, 0))
+    first = perf_counter() - start
+    if progress is not None:
+        progress(1, n)
+    rest = n - 1
     # a fork-started pool launches all its workers at the first submit
-    pool_size = min(config.workers, n, os.cpu_count() or 1)
-    histogram: Counter[int] = Counter()
+    pool_size = min(config.workers, rest, os.cpu_count() or 1)
     pool, run = nullcontext(), map
-    if pool_size > 1:
+    # whole batches: pool_size processes take ceil(rest / pool_size) batch times
+    if pool_size > 1 and (rest - -(-rest // pool_size)) * first > _POOL_START_S:
         from concurrent.futures import ProcessPoolExecutor
         pool = ProcessPoolExecutor(max_workers=pool_size)
-        run = partial(pool.map, chunksize=max(1, n // (pool_size * 4)))
+        run = partial(pool.map, chunksize=max(1, rest // (pool_size * 4)))
     with pool:
-        for done, batch_hist in enumerate(run(partial(_run_batch, config), range(n)), 1):
+        for done, batch_hist in enumerate(run(partial(_run_batch, config), range(1, n)), 2):
             histogram.update(batch_hist)
             if progress is not None:
                 progress(done, n)
@@ -451,7 +468,8 @@ class MethodComparison:
 
     The DP at ``dp_horizon`` is the reference; every other row carries its
     absolute deviation from it.  Approximations evaluated outside their
-    validity region are flagged, not raised.
+    validity region, and ruin probabilities outside [0, 1], are flagged
+    invalid, not raised.
     """
 
     p_gain: float
@@ -522,10 +540,17 @@ def compare_methods(
         dp_horizon=horizon,
         ruin_reference=ruin_ref,
         time_reference=time_ref,
-        ruin_estimates=tuple(ruin_rows),
+        ruin_estimates=tuple(_as_probability(row) for row in ruin_rows),
         time_estimates=tuple(time_rows),
         simulation=sim,
     )
+
+
+def _as_probability(row: MethodEstimate) -> MethodEstimate:
+    """A ruin-probability row outside [0, 1] is invalid; its value stays."""
+    if row.value is None or 0.0 <= row.value <= 1.0:
+        return row
+    return replace(row, valid=False, note="; ".join(filter(None, ("outside [0, 1]", row.note))))
 
 
 def _estimate(

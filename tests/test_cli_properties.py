@@ -94,8 +94,8 @@ def run_cli(argv):
 
 def unit_interval_values(fmt, out):
     """Parse stdout and return the values that must lie in [0, 1]: exact-mode
-    series terms, the horizon oracle, the simulated ruin frequency and the
-    DP row of a comparison."""
+    series terms, the horizon oracle, the simulated ruin frequency and every
+    valid ruin-probability row of a comparison."""
     if fmt == "json":
         payload = json.loads(out)
         manifest, result = payload["manifest"], payload["result"]
@@ -116,8 +116,10 @@ def unit_interval_values(fmt, out):
         return []  # paper-mode counts overcount: its sums pass 1 by design
     keys = {"probability", "cumulative", "probability_mass", "value",
             "ruin_probability_within_horizon", "survival_mass", "ruin_frequency"}
-    return [float(row[key]) for row in rows if row.get("method", "dp") == "dp"
-            for key in keys & row.keys()]
+    # a comparison's rows: JSON lists the ruin rows alone, CSV names each section
+    rows = [row for row in rows if str(row.get("valid", True)) == "True"
+            and row.get("section", "ruin_probability") == "ruin_probability"]
+    return [float(row[key]) for row in rows for key in keys & row.keys()]
 
 
 def command_flags(command: str) -> list[str]:

@@ -2,10 +2,12 @@
 the bankroll/lattice equivalence."""
 import concurrent.futures
 import dataclasses
+import itertools
 import json
 import math
 import os
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -19,9 +21,11 @@ from ruinlab import (
     ruin_probability_dp,
     simulate,
 )
+from ruinlab import montecarlo
 from ruinlab.cli import _jsonable
 from ruinlab.montecarlo import (
     _BRIDGE_MAX,
+    _POOL_START_S,
     BATCH_TRIALS,
     _ballot_steps,
     _crossing,
@@ -68,24 +72,24 @@ def test_bit_identical_across_runs_and_workers():
     assert json.dumps(_jsonable(first)) == json.dumps(_jsonable(parallel))
 
 
-@pytest.mark.parametrize(
-    "workers, cpus, batches, pool_sizes",
-    [
-        (4096, 8, 2, [2]),  # never more workers than batches
-        (4096, 3, 5, [3]),  # nor than CPUs
-        (2, 8, 3, [2]),
-        (4096, 1, 2, []),  # one CPU: the serial path
-        (4096, None, 2, []),  # CPU count unknown: serial
-    ],
-)
-def test_process_pool_is_sized_by_workers_batches_and_cpus(
-    monkeypatch, workers, cpus, batches, pool_sizes
-):
-    # a fork-started pool launches all max_workers processes at the first
-    # submit, so the recorded size is the number of processes forked
+def recorded(config):
+    calls = []
+    result = simulate(config, progress=lambda done, total: calls.append((done, total)))
+    return result, calls
+
+
+def each_batch_takes(monkeypatch, seconds):
+    """A clock under which the first batch, the one ``simulate`` times, takes
+    ``seconds``."""
+    monkeypatch.setattr(montecarlo, "perf_counter", partial(next, itertools.count(0.0, seconds)))
+
+
+@pytest.fixture
+def started_pools(monkeypatch):
+    """The sizes of the process pools a run starts; the pools fork nothing."""
     sizes = []
 
-    class RecordingPool:  # starts no process
+    class RecordingPool:
         def __init__(self, max_workers):
             sizes.append(max_workers)
 
@@ -99,18 +103,58 @@ def test_process_pool_is_sized_by_workers_batches_and_cpus(
             assert chunksize >= 1
             return map(fn, *iterables)
 
-    def recorded(config):
-        calls = []
-        result = simulate(config, progress=lambda done, total: calls.append((done, total)))
-        return result, calls
-
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "workers, cpus, batches, pool_sizes",
+    [
+        (4096, 8, 2, []),  # one batch after the first: nothing to split
+        (4096, 3, 5, [3]),  # never more workers than CPUs
+        (2, 8, 3, [2]),
+        (4096, 1, 2, []),  # one CPU: in process
+        (4096, None, 2, []),  # CPU count unknown: in process
+        (4096, 8, 3, [2]),  # nor than batches after the first
+    ],
+)
+def test_process_pool_is_sized_by_workers_batches_and_cpus(
+    monkeypatch, started_pools, workers, cpus, batches, pool_sizes
+):
+    # a fork-started pool launches all max_workers processes at the first
+    # submit, so the recorded size is the number of processes forked; with
+    # the start cost at 0 (the conftest fixture), a pool starts whenever it
+    # has batches to split
+    each_batch_takes(monkeypatch, 1.0)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     config = lattice_config(0.3, 1, batches * BATCH_TRIALS, 5, seed=3, workers=workers)
     result, calls = recorded(config)
-    assert sizes == pool_sizes
+    assert started_pools == pool_sizes
     assert (result, calls) == recorded(dataclasses.replace(config, workers=1))
     assert calls == [(done, batches) for done in range(1, batches + 1)]
+
+
+@pytest.mark.parametrize(
+    "batch_s, pool_sizes",
+    [
+        # a benchmark-sized run (p = 0.6, d = 3, 1e5 steps) takes about 7 ms
+        # a batch: 2 processes save one batch time, less than the pool costs
+        (0.007, []),
+        # batches of 60 ms: the one batch time saved pays for the pool
+        (0.06, [2]),
+    ],
+)
+def test_pool_starts_only_when_it_saves_more_than_it_costs(
+    monkeypatch, started_pools, batch_s, pool_sizes
+):
+    monkeypatch.setattr(montecarlo, "_POOL_START_S", _POOL_START_S)
+    each_batch_takes(monkeypatch, batch_s)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    config = lattice_config(0.6, 3, 4 * BATCH_TRIALS, 100_000, seed=11, workers=2)
+    result, calls = recorded(config)
+    assert started_pools == pool_sizes
+    assert calls == [(done, 4) for done in range(1, 5)]
+    assert result == simulate(dataclasses.replace(config, workers=1))
 
 
 def test_different_seeds_differ():
