@@ -184,8 +184,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--trials", type=_positive_int, default=DEFAULT_TRIALS)
     run.add_argument("--max-steps", type=_positive_int, default=DEFAULT_HORIZON)
     run.add_argument("--seed", type=_seed, required=True, help="required: no silent entropy")
-    run.add_argument("--workers", type=_positive_int, default=1,
-                     help="use at most this many processes; results never depend on it")
+    run.add_argument("--workers", type=_positive_int,
+                     help="at most this many processes (default: one per CPU); "
+                          "results never depend on it")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser(

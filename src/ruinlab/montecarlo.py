@@ -95,11 +95,13 @@ _BRIDGE_MAX = 2**16
 # Ballot masses held at once by all crossed trials of a pass (8 bytes each).
 _BALLOT_CELLS = 2**18
 
-# Seconds a process pool costs before it saves any, measured on a 2-CPU VM
-# (Python 3.11.7, numpy 2.4.6): importing concurrent.futures.process takes
-# 20-26 ms, and 3 batches of 7 ms took 44 ms on 2 forked workers against
-# 21 ms in process, so starting, feeding and joining them cost about 30 ms.
-_POOL_START_S = 0.05
+# Seconds a pool of k processes costs before it saves any: _POOL_START_S +
+# k * _POOL_PROCESS_S.  On a 2-CPU VM (Python 3.11.7, numpy 2.4.6), fresh
+# processes, medians of 9: importing concurrent.futures.process takes
+# 16-24 ms; then starting, feeding and joining k processes for k tiny
+# batches cost 21, 33 and 72 ms more than in process at k = 2, 4 and 8.
+_POOL_START_S = 0.03
+_POOL_PROCESS_S = 0.01
 
 _MAX_SEED = 2**64 - 1
 # Positions and clocks are int64; below this no block sum can overflow.
@@ -112,9 +114,9 @@ ProgressCallback = Callable[[int, int], None]
 class SimConfig:
     """Monte Carlo run parameters for the lattice walk (p, distance).
 
-    ``workers`` caps the processes a run may use; it changes wall-clock
-    time only, never the result.  Whether a pool starts, and its size,
-    ``simulate`` decides from the first batch's time.
+    ``workers`` caps the processes a run may use (``None``: one per CPU);
+    it changes wall-clock time only, never the result.  Whether a pool
+    starts, and its size, ``simulate`` decides from the first batch's time.
     """
 
     p: float
@@ -122,7 +124,7 @@ class SimConfig:
     trials: int
     max_steps: int
     seed: int
-    workers: int = 1
+    workers: int | None = None
 
     def __post_init__(self) -> None:
         check_walk(self.p, self.distance)
@@ -141,12 +143,12 @@ class SimConfig:
             raise DomainError(f"max_steps must be <= 2**62, got {self.max_steps}")
         if not 0 <= self.seed <= _MAX_SEED:
             raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
-        if self.workers < 1:
+        if self.workers is not None and self.workers < 1:
             raise DomainError(f"workers must be >= 1, got {self.workers}")
 
     @classmethod
     def for_lattice(
-        cls, p: float, d: int, trials: int, max_steps: int, seed: int, workers: int = 1
+        cls, p: float, d: int, trials: int, max_steps: int, seed: int, workers: int | None = None
     ) -> "SimConfig":
         """The plain constructor under its old name, kept only because the
         benchmark's probes (``bench/tracing.py``) still call it."""
@@ -179,9 +181,9 @@ def simulate(config: SimConfig, progress: ProgressCallback | None = None) -> Sim
     Deterministic for a fixed seed: batches are merged in index order and
     all aggregates are integers until the final divisions.  Batch 0 runs
     here and is timed; batches are identically distributed, so it predicts
-    the rest.  The rest go to a pool of at most ``workers`` processes, one
-    per batch left and per CPU, only when that saves more than
-    ``_POOL_START_S``; else they run here too.
+    the rest.  The rest go to a pool of one process per batch left and per
+    CPU, and at most ``workers``, only when that saves more than the pool
+    costs; else they run here too.
     """
     n = -(-config.trials // BATCH_TRIALS)
     start = perf_counter()
@@ -191,10 +193,12 @@ def simulate(config: SimConfig, progress: ProgressCallback | None = None) -> Sim
         progress(1, n)
     rest = n - 1
     # a fork-started pool launches all its workers at the first submit
-    pool_size = min(config.workers, rest, os.cpu_count() or 1)
+    pool_size = max(1, min(config.workers or rest, rest, os.cpu_count() or 1))
     pool, run = nullcontext(), map
-    # whole batches: pool_size processes take ceil(rest / pool_size) batch times
-    if pool_size > 1 and (rest - -(-rest // pool_size)) * first > _POOL_START_S:
+    # whole batches: pool_size processes take ceil(rest / pool_size) batch
+    # times, so a pool of one saves nothing
+    saved = (rest - -(-rest // pool_size)) * first
+    if saved > _POOL_START_S + pool_size * _POOL_PROCESS_S:
         from concurrent.futures import ProcessPoolExecutor
         pool = ProcessPoolExecutor(max_workers=pool_size)
         run = partial(pool.map, chunksize=max(1, rest // (pool_size * 4)))
@@ -253,7 +257,8 @@ def _run_batch(config: SimConfig, batch_index: int) -> dict[int, int]:
     gap = np.full(size, config.distance, dtype=np.int64)
     t = np.zeros(size, dtype=np.int64)
     chunk = _CHUNK_START
-    ruin_times = []
+    # passes without a ruin, nearly all of a long run's, keep no array
+    ruin_times = [np.zeros(0, dtype=np.int64)]
 
     while gap.size:
         far = gap > _BLOCK_MIN_GAP
@@ -262,7 +267,8 @@ def _run_batch(config: SimConfig, batch_index: int) -> dict[int, int]:
             moved.append(_step(rng, p, max_steps, gap[~far], t[~far], chunk))
             chunk = min(2 * chunk, _CHUNK_MAX)
         gap, t, times = (np.concatenate(parts) for parts in zip(*moved))
-        ruin_times.append(times)
+        if times.size:
+            ruin_times.append(times)
 
     steps, counts = np.unique(np.concatenate(ruin_times), return_counts=True)
     return dict(zip(steps.tolist(), counts.tolist()))

@@ -9,13 +9,16 @@ sys.path.insert(0, os.path.dirname(__file__))
 
 @pytest.fixture(autouse=True)
 def free_process_pool(monkeypatch):
-    """Every multi-worker run forks its pool whenever it has batches to split.
+    """Every run not capped at one worker forks its pool whenever it has
+    batches to split: with its default of one process per CPU, every
+    default-config run of three batches or more, given 2 CPUs or more.
 
     ``simulate`` starts a pool only when the first batch's time says it pays,
     and the tests' runs are short, so without this their pool-against-serial
     identity checks would all run in process.  A test of the threshold itself
-    sets ``_POOL_START_S`` back to its real value.
+    sets ``_POOL_START_S`` and ``_POOL_PROCESS_S`` back to their real values.
     """
     from ruinlab import montecarlo
 
     monkeypatch.setattr(montecarlo, "_POOL_START_S", 0.0)
+    monkeypatch.setattr(montecarlo, "_POOL_PROCESS_S", 0.0)

@@ -296,6 +296,19 @@ def test_compare_replaying_manifest_is_bit_identical(capsys):
     assert second == first
 
 
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_workers_left_out_is_recorded_as_null_and_changes_no_result(capsys, command):
+    # 3 batches: with the pool's start cost at 0 (conftest), a default run
+    # forks a pool on any machine with 2 CPUs or more
+    argv = [command, "--p", "0.55", "--distance", "2", "--trials", "20000",
+            "--max-steps", "500", "--seed", "17"]
+    default = run_json(capsys, *argv)
+    one = run_json(capsys, *argv, "--workers", "1")
+    assert default["manifest"]["parameters"].pop("workers") is None
+    assert one["manifest"]["parameters"].pop("workers") == 1
+    assert default == one
+
+
 def test_compare_table(capsys):
     payload = run_json(
         capsys, "compare", "--p", "0.6", "--distance", "3",
@@ -404,7 +417,7 @@ _PARSER_SURFACE = [
     ("simulate", "--trials", "trials", "_positive_int", 100000, False),
     ("simulate", "--max-steps", "max_steps", "_positive_int", 100000, False),
     ("simulate", "--seed", "seed", "_seed", None, True),
-    ("simulate", "--workers", "workers", "_positive_int", 1, False),
+    ("simulate", "--workers", "workers", "_positive_int", None, False),
     ("transform", "--format", "format", None, "human", False),
     ("transform", "--p", "p", "_probability", None, True),
     ("transform", "--gain-factor", "gain_factor", "_signed_fraction", None, True),
@@ -418,7 +431,7 @@ _PARSER_SURFACE = [
     ("compare", "--trials", "trials", "_positive_int", 100000, False),
     ("compare", "--max-steps", "max_steps", "_positive_int", 100000, False),
     ("compare", "--seed", "seed", "_seed", None, True),
-    ("compare", "--workers", "workers", "_positive_int", 1, False),
+    ("compare", "--workers", "workers", "_positive_int", None, False),
     ("compare", "--max-gains", "max_gains", "_nonnegative_int", 200, False),
     ("compare", "--horizon", "horizon", "_positive_int", None, False),
     ("demo", "--format", "format", None, "human", False),

@@ -25,6 +25,7 @@ from ruinlab import montecarlo
 from ruinlab.cli import _jsonable
 from ruinlab.montecarlo import (
     _BRIDGE_MAX,
+    _POOL_PROCESS_S,
     _POOL_START_S,
     BATCH_TRIALS,
     _ballot_steps,
@@ -116,6 +117,12 @@ def started_pools(monkeypatch):
         (4096, 1, 2, []),  # one CPU: in process
         (4096, None, 2, []),  # CPU count unknown: in process
         (4096, 8, 3, [2]),  # nor than batches after the first
+        # the default: one process per batch left and per CPU
+        (None, 8, 3, [2]),
+        (None, 3, 5, [3]),
+        (None, 8, 2, []),
+        (None, 1, 5, []),
+        (None, None, 5, []),
     ],
 )
 def test_process_pool_is_sized_by_workers_batches_and_cpus(
@@ -137,24 +144,33 @@ def test_process_pool_is_sized_by_workers_batches_and_cpus(
 @pytest.mark.parametrize(
     "batch_s, pool_sizes",
     [
-        # a benchmark-sized run (p = 0.6, d = 3, 1e5 steps) takes about 7 ms
-        # a batch: 2 processes save one batch time, less than the pool costs
-        (0.007, []),
-        # batches of 60 ms: the one batch time saved pays for the pool
-        (0.06, [2]),
+        # the pools started by a run capped at 2 workers and by a default
+        # run; 4 batches and 8 CPUs, so a default pool has 3 processes, saves
+        # two batch times and costs 60 ms, and a pool of 2 saves one and
+        # costs 50 ms.  A benchmark-sized run (p = 0.6, d = 3, 1e5 steps)
+        # takes about 7 ms a batch: neither pool pays
+        (0.007, {2: [], None: []}),
+        # batches of 60 ms: both pay
+        (0.06, {2: [2], None: [3]}),
+        # 56 ms saved by 3 processes: more than the 50 ms 2 cost, less than 60
+        (0.028, {2: [], None: []}),
+        (0.04, {2: [], None: [3]}),
     ],
 )
 def test_pool_starts_only_when_it_saves_more_than_it_costs(
     monkeypatch, started_pools, batch_s, pool_sizes
 ):
     monkeypatch.setattr(montecarlo, "_POOL_START_S", _POOL_START_S)
+    monkeypatch.setattr(montecarlo, "_POOL_PROCESS_S", _POOL_PROCESS_S)
     each_batch_takes(monkeypatch, batch_s)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    config = lattice_config(0.6, 3, 4 * BATCH_TRIALS, 100_000, seed=11, workers=2)
-    result, calls = recorded(config)
-    assert started_pools == pool_sizes
-    assert calls == [(done, 4) for done in range(1, 5)]
-    assert result == simulate(dataclasses.replace(config, workers=1))
+    for workers, sizes in pool_sizes.items():
+        started_pools.clear()
+        config = lattice_config(0.6, 3, 4 * BATCH_TRIALS, 100_000, seed=11, workers=workers)
+        result, calls = recorded(config)
+        assert started_pools == sizes
+        assert calls == [(done, 4) for done in range(1, 5)]
+        assert result == simulate(dataclasses.replace(config, workers=1))
 
 
 def test_different_seeds_differ():
@@ -429,6 +445,9 @@ def test_config_has_only_the_fields_simulate_reads():
     names = [f.name for f in dataclasses.fields(SimConfig)]
     assert names == ["p", "distance", "trials", "max_steps", "seed", "workers"]
     assert SimConfig.for_lattice(0.6, 3, 10, 100, 42, 2) == SimConfig(0.6, 3, 10, 100, 42, 2)
+    # no cap unless one is given, under either name
+    assert SimConfig.for_lattice(0.6, 3, 10, 100, 42) == SimConfig(0.6, 3, 10, 100, 42)
+    assert SimConfig(0.6, 3, 10, 100, 42).workers is None
 
 
 def test_batches_cover_trials_exactly():
@@ -447,6 +466,23 @@ def test_trials_past_the_step_bound_are_refused():
     assert SimConfig(0.5, 2, trials=2**62, max_steps=2, seed=1).trials == 2**62
     with pytest.raises(DomainError, match="trials must be <= 2\\*\\*62, got 4611686018427387905"):
         SimConfig(0.5, 2, trials=2**62 + 1, max_steps=2, seed=1)
+
+
+def test_long_runs_keep_no_array_per_pass(monkeypatch):
+    # 22 464 passes, nearly all without a ruin: a batch keeps the ruin
+    # times of the passes that have some, so its last concatenation joins
+    # at most one array per ruined trial, not one per pass
+    joined = []
+    concatenate = np.concatenate
+
+    def recording(arrays, *args, **kwargs):
+        joined.append(len(arrays))
+        return concatenate(arrays, *args, **kwargs)
+
+    monkeypatch.setattr(np, "concatenate", recording)
+    result = simulate(lattice_config(0.5, 20, 2000, 2**62, seed=3))
+    assert result.ruined == 2000
+    assert max(joined) <= result.ruined + 1
 
 
 @pytest.mark.parametrize("workers", [1, 2])
