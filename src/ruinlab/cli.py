@@ -19,7 +19,7 @@ import os
 import re
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import __version__, _engine_attr
 from .errors import DomainError, RuinlabError, ValidityError
@@ -55,9 +55,9 @@ DEMO_STATES = (("2011", 2.8), ("2012", 1.4), ("2013", 2.8))
 @dataclass(frozen=True)
 class CommandOutput:
     result: dict
-    human: list[str]
-    header: tuple[str, ...]  # the CSV table
-    rows: list[tuple]
+    # renderers: _emit calls only the one that --format selects
+    human: Callable[[], list[str]]
+    table: Callable[[], tuple[tuple[str, ...], Iterable[tuple]]]  # CSV header, rows
     engine: dict | None = None  # Monte Carlo commands: see engine_record
 
 
@@ -74,8 +74,14 @@ def main(argv: Sequence[str] | None = None) -> int:
                          f"got {args.format!r}")
     except SystemExit as exc:  # argparse prints its own message
         return int(exc.code) if exc.code else 0
-    try:
-        output = args.handler(args)
+    try:  # the renderers run in _emit, so its failures map alike
+        _emit(args, args.handler(args))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: send the interpreter's final flush nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 141
     except ValidityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -85,14 +91,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except MemoryError as exc:
         print(f"error: not enough memory for this input: {exc}", file=sys.stderr)
         return 2
-    try:
-        _emit(args, output)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader is gone: send the interpreter's final flush nowhere
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        return 141
     return 0
 
 
@@ -216,7 +214,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--distribution",
         action="store_true",
-        help="include the ruin-time distribution (CSV: step,probability_mass rows)",
+        help="include the ruin-time distribution, JSON and CSV only "
+             "(CSV: step,probability_mass rows)",
     )
     p.set_defaults(handler=_cmd_exact)
 
@@ -279,39 +278,46 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_calibrate(args: argparse.Namespace) -> CommandOutput:
     spec = calibrate(args.loss_level, args.loss_factor)
     result = _jsonable(spec)
-    human = [
+    return CommandOutput(result, lambda: [
         f"loss level          {_fmt(spec.loss_level)}",
         f"loss factor         {_fmt(spec.loss_factor)}",
         f"distance (exact)    {_fmt(spec.distance_exact)}",
         f"distance (lattice)  {spec.distance}",
         f"implied loss level  {_fmt(spec.implied_loss_level)}",
-    ]
-    return CommandOutput(result, human, tuple(result), [tuple(result.values())])
+    ], lambda: (tuple(result), [tuple(result.values())]))
 
 
 def _cmd_series(args: argparse.Namespace) -> CommandOutput:
     report = _engines.ruin_series(args.p, args.distance, args.max_gains, args.mode)
     result = _jsonable(report)
-    tail = "inf" if math.isinf(report.tail_bound) else _fmt(report.tail_bound)
-    human = [
-        f"p={_fmt(args.p)} distance={args.distance} mode={args.mode}",
-        f"cumulative through N={report.truncation}: {_fmt(report.cumulative)}",
-        f"geometric tail bound: {tail}",
-        "",
-        f"{'N':>5} {'count':>24} {'probability':>16} {'cumulative':>16}",
-    ]
     for encoded, term in zip(result["terms"], report.terms):
         # exact decimal text: JSON readers would round a count past 2**53
-        count = encoded["path_count"] = _count_text(term.path_count)
-        if len(count) > 24:
-            from decimal import Decimal  # imported only for long counts
-            count = f"{Decimal(term.path_count):.6e}"
-        human.append(
-            f"{term.n_gains:>5} {count:>24} {term.probability:>16.9e} "
-            f"{term.cumulative:>16.12f}"
-        )
-    rows = [tuple(term.values()) for term in result["terms"]]
-    return CommandOutput(result, human, ("N", "count", "probability", "cumulative"), rows)
+        encoded["path_count"] = _count_text(term.path_count)
+
+    def human() -> list[str]:
+        tail = "inf" if math.isinf(report.tail_bound) else _fmt(report.tail_bound)
+        lines = [
+            f"p={_fmt(args.p)} distance={args.distance} mode={args.mode}",
+            f"cumulative through N={report.truncation}: {_fmt(report.cumulative)}",
+            f"geometric tail bound: {tail}",
+            "",
+            f"{'N':>5} {'count':>24} {'probability':>16} {'cumulative':>16}",
+        ]
+        for encoded, term in zip(result["terms"], report.terms):
+            count = encoded["path_count"]
+            if len(count) > 24:
+                from decimal import Decimal  # imported only for long counts
+                count = f"{Decimal(term.path_count):.6e}"
+            lines.append(
+                f"{term.n_gains:>5} {count:>24} {term.probability:>16.9e} "
+                f"{term.cumulative:>16.12f}"
+            )
+        return lines
+
+    return CommandOutput(result, human, lambda: (
+        ("N", "count", "probability", "cumulative"),
+        (tuple(term.values()) for term in result["terms"]),
+    ))
 
 
 def _cmd_exact(args: argparse.Namespace) -> CommandOutput:
@@ -320,23 +326,21 @@ def _cmd_exact(args: argparse.Namespace) -> CommandOutput:
     )
     result = {"p_gain": args.p, "distance": args.distance, **_jsonable(absorption)}
     mean = absorption.expected_time_censored
-    human = [
+
+    def table() -> tuple[tuple[str, ...], Iterable[tuple]]:
+        if args.distribution:
+            return ("step", "probability_mass"), absorption.ruin_time_distribution.items()
+        header = ("p", "distance", "horizon", "ruin_probability_within_horizon",
+                  "survival_mass", "expected_time_censored")
+        return header, [(args.p, *(result[key] for key in header[1:]))]
+
+    return CommandOutput(result, lambda: [
         f"p={_fmt(args.p)} distance={args.distance} horizon={args.horizon}",
         f"ruin probability within horizon  {_fmt(absorption.ruin_probability_within_horizon)}",
         f"survival mass                    {_fmt(absorption.survival_mass)}",
         f"mean time to ruin (censored)     "
         f"{'undefined (no ruin mass)' if math.isnan(mean) else _fmt(mean)}",
-    ]
-    if args.distribution:
-        header = ("step", "probability_mass")
-        rows = list(result["ruin_time_distribution"].items())
-    else:
-        header = (
-            "p", "distance", "horizon", "ruin_probability_within_horizon",
-            "survival_mass", "expected_time_censored",
-        )
-        rows = [(args.p, *(result[key] for key in header[1:]))]
-    return CommandOutput(result, human, header, rows)
+    ], table)
 
 
 def _resolve_sim_config(args: argparse.Namespace) -> SimConfig:
@@ -363,7 +367,7 @@ def _cmd_simulate(args: argparse.Namespace) -> CommandOutput:
     config = _resolve_sim_config(args)
     result = _engines.simulate(config, progress=_progress_printer("simulate"))
     mean = result.mean_time_to_ruin
-    human = [
+    return CommandOutput(_jsonable(result), lambda: [
         f"p={_fmt(config.p)} distance={config.distance} "
         f"trials={config.trials} max_steps={config.max_steps} seed={config.seed}",
         f"ruined    {result.ruined}",
@@ -372,10 +376,7 @@ def _cmd_simulate(args: argparse.Namespace) -> CommandOutput:
         f"mean time to ruin  "
         f"{'undefined (no ruined trials)' if math.isnan(mean) else _fmt(mean)}",
         f"distinct ruin times  {len(result.time_histogram)}",
-    ]
-    payload = _jsonable(result)
-    rows = list(payload["time_histogram"].items())
-    return CommandOutput(payload, human, ("step", "count"), rows, _engines.engine_record())
+    ], lambda: (("step", "count"), result.time_histogram.items()), _engines.engine_record())
 
 
 def _cmd_transform(args: argparse.Namespace) -> CommandOutput:
@@ -388,35 +389,42 @@ def _cmd_transform(args: argparse.Namespace) -> CommandOutput:
         if args.loss_level is not None
         else None
     )
+
+    def human() -> list[str]:
+        lines = [
+            f"original: p_gain={_fmt(model.p_gain)} legs +{_fmt(model.gain_factor)}"
+            f"/{_fmt(model.loss_factor)}  mean={_fmt(result.matched_mean)}",
+            f"targets:  +{_fmt(args.target_gain_factor)}/{_fmt(args.target_loss_factor)}",
+            f"p_loss_adjusted  {_fmt(result.p_loss_adjusted)}",
+            f"p_gain_adjusted  {_fmt(result.p_gain_adjusted)}",
+        ]
+        if result.warnings:
+            lines.append(f"warnings: {', '.join(result.warnings)}")
+        if rebalanced:
+            lines.append(
+                f"rebalanced ruin inputs at loss level {_fmt(args.loss_level)}: "
+                f"p_gain={_fmt(rebalanced.p_gain)} distance={rebalanced.distance} "
+                f"(exact {_fmt(rebalanced.distance_exact)})"
+            )
+            if rebalanced.warnings:
+                lines.append(f"rebalanced warnings: {', '.join(rebalanced.warnings)}")
+        return lines
+
+    def table() -> tuple[tuple[str, ...], Iterable[tuple]]:
+        row = {
+            "p_loss_adjusted": result.p_loss_adjusted,
+            "p_gain_adjusted": result.p_gain_adjusted,
+            "matched_mean": result.matched_mean,
+            "target_gain_factor": args.target_gain_factor,
+            "target_loss_factor": args.target_loss_factor,
+            "rebalanced_distance": rebalanced.distance if rebalanced else "",
+            "rebalanced_distance_exact": rebalanced.distance_exact if rebalanced else "",
+            "warnings": ";".join(rebalanced.warnings if rebalanced else result.warnings),
+        }
+        return tuple(row), [tuple(row.values())]
+
     payload = {**_jsonable(result), "rebalanced": _jsonable(rebalanced)}
-    human = [
-        f"original: p_gain={_fmt(model.p_gain)} legs +{_fmt(model.gain_factor)}"
-        f"/{_fmt(model.loss_factor)}  mean={_fmt(result.matched_mean)}",
-        f"targets:  +{_fmt(args.target_gain_factor)}/{_fmt(args.target_loss_factor)}",
-        f"p_loss_adjusted  {_fmt(result.p_loss_adjusted)}",
-        f"p_gain_adjusted  {_fmt(result.p_gain_adjusted)}",
-    ]
-    if result.warnings:
-        human.append(f"warnings: {', '.join(result.warnings)}")
-    if rebalanced:
-        human.append(
-            f"rebalanced ruin inputs at loss level {_fmt(args.loss_level)}: "
-            f"p_gain={_fmt(rebalanced.p_gain)} distance={rebalanced.distance} "
-            f"(exact {_fmt(rebalanced.distance_exact)})"
-        )
-        if rebalanced.warnings:
-            human.append(f"rebalanced warnings: {', '.join(rebalanced.warnings)}")
-    row = {
-        "p_loss_adjusted": result.p_loss_adjusted,
-        "p_gain_adjusted": result.p_gain_adjusted,
-        "matched_mean": result.matched_mean,
-        "target_gain_factor": args.target_gain_factor,
-        "target_loss_factor": args.target_loss_factor,
-        "rebalanced_distance": rebalanced.distance if rebalanced else "",
-        "rebalanced_distance_exact": rebalanced.distance_exact if rebalanced else "",
-        "warnings": ";".join(rebalanced.warnings if rebalanced else result.warnings),
-    }
-    return CommandOutput(payload, human, tuple(row), [tuple(row.values())])
+    return CommandOutput(payload, human, table)
 
 
 def _cmd_compare(args: argparse.Namespace) -> CommandOutput:
@@ -429,24 +437,25 @@ def _cmd_compare(args: argparse.Namespace) -> CommandOutput:
         dp_horizon=args.horizon,
         progress=_progress_printer("compare"),
     )
-    human = [
-        f"p={_fmt(args.p)} distance={args.distance} "
-        f"(DP reference horizon {comparison.dp_horizon})",
-    ]
-    rows = []
-    for section, title, estimates in (
+    sections = (
         ("ruin_probability", "ruin probability:", comparison.ruin_estimates),
         ("expected_time", "expected time to ruin (censored):", comparison.time_estimates),
-    ):
-        human += ["", title, f"  {'method':<24} {'value':>14} {'|dev from DP|':>14}  note"]
-        for e in estimates:
-            human.append(
-                f"  {e.method:<24} {_cell(e.value):>14} {_cell(e.abs_dev_from_dp):>14}"
-                f"  {e.note if e.valid else '[invalid] ' + e.note}"
-            )
-            rows.append((section, e.method, e.value, e.valid, e.abs_dev_from_dp, e.note))
-    header = ("section", "method", "value", "valid", "abs_dev_from_dp", "note")
-    return CommandOutput(_jsonable(comparison), human, header, rows, _engines.engine_record())
+    )
+
+    def human() -> list[str]:
+        lines = [f"p={_fmt(args.p)} distance={args.distance} "
+                 f"(DP reference horizon {comparison.dp_horizon})"]
+        for _, title, estimates in sections:
+            lines += ["", title, f"  {'method':<24} {'value':>14} {'|dev from DP|':>14}  note"]
+            lines += (f"  {e.method:<24} {_cell(e.value):>14} {_cell(e.abs_dev_from_dp):>14}"
+                      f"  {e.note if e.valid else '[invalid] ' + e.note}" for e in estimates)
+        return lines
+
+    return CommandOutput(_jsonable(comparison), human, lambda: (
+        ("section", "method", "value", "valid", "abs_dev_from_dp", "note"),
+        ((section, e.method, e.value, e.valid, e.abs_dev_from_dp, e.note)
+         for section, _, estimates in sections for e in estimates),
+    ), _engines.engine_record())
 
 
 def _cmd_demo(args: argparse.Namespace) -> CommandOutput:
@@ -463,24 +472,27 @@ def _cmd_demo(args: argparse.Namespace) -> CommandOutput:
         )
         prev = level
     result = {"scenario": DEMO_SCENARIO, "states": states}
-    human = [
-        "Ten-year treasury yield, summers of 2011-2013, on the halving/doubling lattice:",
-        "",
-        f"  {'year':<6} {'yield':>6}  {'move':>5}  {'position':>8}",
-    ]
-    for s in states:
-        move = "-" if s["move"] is None else f"{s['move']:+d}"
-        human.append(
-            f"  {s['year']:<6} {s['yield_percent']:>5.1f}%  {move:>5}  {s['lattice_position']:>8}"
-        )
-    human += [
-        "",
-        "Each year the yield either doubles (+1, a gain step) or halves (-1, a",
-        "loss step): 2.8% fell to 1.4%, then recovered to 2.8%.  A loss level of",
-        "0.25 from the 2011 start would sit two lattice steps down, at 0.7%.",
-    ]
-    rows = [tuple(s.values()) for s in states]
-    return CommandOutput(result, human, tuple(states[0]), rows)
+
+    def human() -> list[str]:
+        lines = [
+            "Ten-year treasury yield, summers of 2011-2013, on the halving/doubling lattice:",
+            "",
+            f"  {'year':<6} {'yield':>6}  {'move':>5}  {'position':>8}",
+        ]
+        for s in states:
+            move = "-" if s["move"] is None else f"{s['move']:+d}"
+            lines.append(f"  {s['year']:<6} {s['yield_percent']:>5.1f}%  {move:>5}"
+                         f"  {s['lattice_position']:>8}")
+        return lines + [
+            "",
+            "Each year the yield either doubles (+1, a gain step) or halves (-1, a",
+            "loss step): 2.8% fell to 1.4%, then recovered to 2.8%.  A loss level of",
+            "0.25 from the 2011 start would sit two lattice steps down, at 0.7%.",
+        ]
+
+    return CommandOutput(
+        result, human, lambda: (tuple(states[0]), [tuple(s.values()) for s in states])
+    )
 
 
 # ----------------------------------------------------------------------
@@ -510,14 +522,14 @@ def _emit(args: argparse.Namespace, output: CommandOutput) -> None:
     if args.format == "json":
         print(json.dumps({"manifest": manifest, "result": output.result}))
     elif args.format == "csv":
+        header, rows = output.table()
         writer = csv.writer(sys.stdout, lineterminator="\n")
         # manifest rides along as a comment line so the rows stay parseable
         print(f"# manifest: {json.dumps(manifest)}")
-        writer.writerow(output.header)
-        writer.writerows(output.rows)
+        writer.writerow(header)
+        writer.writerows(rows)
     else:
-        for line in output.human:
-            print(line)
+        print(*output.human(), sep="\n")
         print(f"[ruinlab {__version__} | {args.command} | {json.dumps(manifest['parameters'])}]")
 
 

@@ -4,12 +4,14 @@ Each case pins the full stdout of one command, byte for byte, in
 ``tests/golden/<case>.<format>``.  The tool version and the numpy version
 are stored as ``@VERSION@`` and ``@NUMPY@``, so neither a version bump nor
 another numpy churns the files.  Only commands whose output draws on no
-random bit are pinned: ``simulate`` and ``compare`` at p in {0, 1}.
+random bit are pinned: ``simulate`` and ``compare`` at p in {0, 1}.  Each
+run also checks that the command called only the renderer of its format.
 
 To re-record after a deliberate output change, run
 ``PYTHONPATH=src python tests/test_cli_golden.py`` and review the diff.
 """
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -17,7 +19,7 @@ import os
 import numpy as np
 import pytest
 
-from ruinlab import __version__, exact_coefficient
+from ruinlab import __version__, cli, exact_coefficient
 from ruinlab.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
@@ -32,6 +34,9 @@ CASES = {
     "series_exact": ("series", "--p", "0.6", "--distance", "3", "--max-gains", "6"),
     "series_paper": ("series", "--p", "0.5", "--distance", "2", "--max-gains", "6",
                      "--mode", "paper"),
+    # counts pass 24 digits from N = 43: the human short form and the long
+    # exact text of JSON and CSV
+    "series_long": ("series", "--p", "0.5", "--distance", "3", "--max-gains", "60"),
     "exact": ("exact", "--p", "0.45", "--distance", "3", "--horizon", "40"),
     "exact_distribution": ("exact", "--p", "0.45", "--distance", "3", "--horizon", "15",
                            "--distribution"),
@@ -60,13 +65,31 @@ def golden_path(case: str, fmt: str) -> str:
     return os.path.join(GOLDEN, f"{case}.{fmt}")
 
 
+# the only renderer each format may call: JSON prints the result record
+RENDERS = {"human": ["human"], "json": [], "csv": ["table"]}
+
+
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_stdout_matches_golden(case, fmt):
+def test_stdout_matches_golden(case, fmt, monkeypatch):
     with open(golden_path(case, fmt), encoding="utf-8") as handle:
         expected = handle.read()
     expected = expected.replace("@VERSION@", __version__).replace("@NUMPY@", np.__version__)
+    calls, real_emit = [], cli._emit
+
+    def tracked(name, render):
+        def call():
+            calls.append(name)
+            return render()
+        return call
+
+    def emit(args, output):
+        real_emit(args, dataclasses.replace(output, human=tracked("human", output.human),
+                                            table=tracked("table", output.table)))
+
+    monkeypatch.setattr(cli, "_emit", emit)
     assert stdout_of((*CASES[case], "--format", fmt)) == expected
+    assert calls == RENDERS[fmt]
 
 
 def test_series_path_counts_are_decimal_strings():

@@ -338,6 +338,18 @@ def test_ballot_law_over_many_windows(m, k, g):
     assert steps.tolist() == want
 
 
+def test_log_factorial_table_grown_in_steps_equals_one_built_at_once(monkeypatch):
+    # an entry must not depend on how far, or in how many calls, the table grew
+    sizes = (100, 5000, 2**16 + 1)
+    monkeypatch.setattr(montecarlo, "_LOG_FACTORIALS", np.zeros(0))
+    stepped = [_log_factorials(size) for size in sizes][-1]
+    monkeypatch.setattr(montecarlo, "_LOG_FACTORIALS", np.zeros(0))
+    whole = _log_factorials(sizes[-1])
+    assert stepped.size == whole.size >= sizes[-1]
+    assert np.array_equal(stepped, whole)
+    assert _log_factorials(10) is whole  # a size already covered builds nothing
+
+
 def test_ballot_step_past_the_rounded_cdf_is_the_last_step():
     # u is drawn below the crossing probability, but the float sum of the
     # masses can end a hair under it: such a u takes the last step with mass

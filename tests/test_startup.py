@@ -90,6 +90,23 @@ def test_series_and_exact_leave_monte_carlo_unloaded(argv, engines):
     assert loaded == {"numpy", *engines}
 
 
+@pytest.mark.parametrize("fmt, loads_decimal", [("json", False), ("csv", False), ("human", True)])
+def test_only_human_series_output_loads_decimal(fmt, loads_decimal):
+    # counts past 24 digits get a Decimal short form in human lines only;
+    # JSON and CSV print the exact text and never format a human line
+    code = f"""
+import contextlib, io, sys
+from ruinlab.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    exit_code = main(["series", "--p", "0.5", "--distance", "3", "--max-gains", "600",
+                      "--format", {fmt!r}])
+print(exit_code, "decimal" in sys.modules)
+"""
+    proc = fresh_python(code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", str(loads_decimal)]
+
+
 def test_simulate_on_one_worker_loads_no_process_pool():
     exit_code, loaded = loaded_after_main(
         "simulate", "--p", "0.5", "--distance", "2", "--trials", "10",
