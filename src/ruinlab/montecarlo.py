@@ -89,8 +89,9 @@ _BLOCK_MIN_GAP = 16
 _DIFFUSION_SPAN = 9
 _DRIFT_SPAN = 0.5
 _SAFE_BITS = 10
-# A block that can cross spans at most this many steps, the size of the
-# log-factorial table; a longer block is one shorter than the gap.
+# A block that can cross spans at most this many steps, so the crossing
+# and ballot laws read ln n! from a table of _BRIDGE_MAX + 1 entries built
+# at import; a longer block is one shorter than the gap.
 _BRIDGE_MAX = 2**16
 # Ballot masses held at once by all crossed trials of a pass (8 bytes each).
 _BALLOT_CELLS = 2**18
@@ -134,13 +135,17 @@ class SimConfig:
             raise DomainError(f"trials must be >= 1, got {self.trials}")
         if self.trials > _MAX_STEPS:
             raise DomainError(f"trials must be <= 2**62, got {self.trials}")
+        if self.max_steps > _MAX_STEPS:
+            raise DomainError(f"max_steps must be <= 2**62, got {self.max_steps}")
+        if self.distance > _MAX_STEPS:
+            raise DomainError(
+                f"distance must be <= 2**62, the largest max_steps, got {self.distance}"
+            )
         if self.max_steps < self.distance:
             raise DomainError(
                 f"max_steps must be >= distance {self.distance}, "
                 f"got {self.max_steps}"
             )
-        if self.max_steps > _MAX_STEPS:
-            raise DomainError(f"max_steps must be <= 2**62, got {self.max_steps}")
         if not 0 <= self.seed <= _MAX_SEED:
             raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if self.workers is not None and self.workers < 1:
@@ -286,10 +291,9 @@ def _bridge(
     maybe = np.flatnonzero(k >= gap)
     u = rng.random(maybe.size)  # no bits are drawn when no block can cross
     g, n, x = gap[maybe], m[maybe], k[maybe]
-    lf = _log_factorials(int(n.max(initial=0)) + 1)
-    hit = u < _crossing(g, n, x, lf)
+    hit = u < _crossing(g, n, x)
     rows = maybe[hit]
-    times = t[rows] + _ballot_steps(g[hit], n[hit], x[hit], u[hit], lf)
+    times = t[rows] + _ballot_steps(g[hit], n[hit], x[hit], u[hit])
     gap = gap - (2 * k - m)  # 2k - m: net losses over the block
     live = gap <= max_steps - t_next
     live[rows] = False
@@ -314,7 +318,7 @@ def _block_lengths(p: float, remaining: np.ndarray, gap: np.ndarray) -> np.ndarr
     return np.minimum(remaining, np.maximum(gap - 1, length))
 
 
-def _crossing(g: np.ndarray, m: np.ndarray, k: np.ndarray, lf: np.ndarray) -> np.ndarray:
+def _crossing(g: np.ndarray, m: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Probability that a block of ``m`` steps with ``k >= g`` losses, from
     gap ``g``, touches the barrier: 1 when its net loss ``2k - m`` reaches
     ``g``, else ``C(m, k - g) / C(m, k)`` by reflection (the arrangements
@@ -323,13 +327,12 @@ def _crossing(g: np.ndarray, m: np.ndarray, k: np.ndarray, lf: np.ndarray) -> np
     The ratio is the exponential of four log-factorial entries, so it
     carries a relative error of about 1e-9 at most, a bias that only some
     1e18 trials could resolve."""
+    lf = _LOG_FACTORIALS
     log_touch = np.minimum(lf[k] + lf[m - k] - lf[k - g] - lf[m - k + g], 0.0)
     return np.where(2 * k - m >= g, 1.0, np.exp(log_touch))
 
 
-def _ballot_steps(
-    g: np.ndarray, m: np.ndarray, k: np.ndarray, u: np.ndarray, lf: np.ndarray
-) -> np.ndarray:
+def _ballot_steps(g: np.ndarray, m: np.ndarray, k: np.ndarray, u: np.ndarray) -> np.ndarray:
     """First-passage step of each crossed block, by inverse CDF at ``u``.
 
     A block of ``m`` steps with ``k`` losses, from gap ``g``, first reaches
@@ -338,6 +341,7 @@ def _ballot_steps(
     crossing probability, so ``u`` below it is a uniform draw of the CDF.
     The masses are scanned in windows that double, so a trial costs about
     its own ``r`` in table lookups, up to ``_BALLOT_CELLS`` masses a window."""
+    lf = _LOG_FACTORIALS
     out = np.empty(g.size, dtype=np.int64)
     rows = np.arange(g.size)
     last = np.minimum(np.minimum(k - g, m - k), (m - g) // 2)  # largest r with mass
@@ -367,27 +371,20 @@ def _ballot_steps(
     return out
 
 
-def _log_factorials(size: int) -> np.ndarray:
-    """ln n! for n = 0 .. at least ``size - 1``: ``math.lgamma`` below 32,
-    Stirling's series with four terms above, each entry within two ulps
-    (2.5e-10) of ln n!.  The table grows, to the longest block that could
-    cross so far, in chunks computed alike in every process, so an entry
-    does not depend on how far the table has grown."""
-    global _LOG_FACTORIALS
-    while _LOG_FACTORIALS.size < size:
-        x = _LOG_FACTORIALS.size + np.arange(1.0, _LOG_FACTORIAL_CHUNK + 1.0)  # n + 1
-        r = 1.0 / x
-        r2 = r * r
-        chunk = ((x - 0.5) * np.log(x) - x + 0.5 * math.log(2.0 * math.pi)
-                 + r * (1 / 12 - r2 * (1 / 360 - r2 * (1 / 1260 - r2 / 1680))))
-        if not _LOG_FACTORIALS.size:
-            chunk[:32] = [math.lgamma(n + 1.0) for n in range(32)]
-        _LOG_FACTORIALS = np.concatenate((_LOG_FACTORIALS, chunk))
-    return _LOG_FACTORIALS
+def _log_factorial_table() -> np.ndarray:
+    """ln n! for n = 0 .. ``_BRIDGE_MAX``, the longest block that can cross:
+    ``math.lgamma`` below 32, Stirling's series with four terms above, each
+    entry within two ulps (2.5e-10) of ln n!."""
+    x = np.arange(1.0, _BRIDGE_MAX + 2.0)  # n + 1
+    r = 1.0 / x
+    r2 = r * r
+    table = ((x - 0.5) * np.log(x) - x + 0.5 * math.log(2.0 * math.pi)
+             + r * (1 / 12 - r2 * (1 / 360 - r2 * (1 / 1260 - r2 / 1680))))
+    table[:32] = [math.lgamma(n + 1.0) for n in range(32)]
+    return table
 
 
-_LOG_FACTORIAL_CHUNK = 4096
-_LOG_FACTORIALS = np.zeros(0)
+_LOG_FACTORIALS = _log_factorial_table()
 
 
 def _losses(rng: np.random.Generator, p: float, cells: int) -> np.ndarray:

@@ -111,6 +111,7 @@ def ruin_probability_dp(
     divided by their sum, so the map agrees with the clamped probability.
     """
     check_walk(p, d)
+    check_horizon(d, "distance")
     if horizon < d:
         raise DomainError(
             f"horizon must be >= distance (ruin needs at least d steps), "

@@ -251,6 +251,24 @@ def test_simulate_past_int64_names_the_horizon(capsys):
     assert "max_steps must be <= 2**62" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--distance", str(2**63)),
+        ("simulate", "--loss-level", "1e-300", "--loss-factor=-1e-16"),  # d = 6.2e18
+        ("compare", "--distance", str(2**63)),
+    ],
+    ids=["simulate-distance", "simulate-loss-level", "compare-distance"],
+)
+def test_distance_past_the_largest_max_steps_names_both(capsys, argv):
+    # used to ask for --max-steps >= distance, past its own bound of 2**62
+    code, out, err = run_cli(capsys, *argv, "--p", "0.5", "--max-steps", str(2**62),
+                             "--seed", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: distance must be <= 2**62, the largest max_steps, got ")
+
+
 def test_simulate_past_the_trial_bound_names_trials(capsys):
     # used to exit 2 with "cannot fit 'int' into an index-sized integer"
     code, out, err = run_cli(capsys, "simulate", "--p", "0.5", "--distance", "2",
@@ -628,7 +646,11 @@ def test_input_too_large_for_memory_exits_2(argv):
         (("exact", "--p", "0.5", "--distance", "3", "--horizon", str(10**30)),
          f"horizon must be <= 2**59, got {10**30}"),
         (("exact", "--p", "0.5", "--distance", str(10**23), "--horizon", str(10**23)),
-         f"horizon must be <= 2**59, got {10**23}"),
+         f"distance must be <= 2**59, got {10**23}"),
+        # a distance past the bound is named whatever the horizon: lowering
+        # the horizon to the bound used to give "horizon must be >= distance"
+        (("exact", "--p", "0.5", "--distance", str(2**60), "--horizon", str(2**59)),
+         f"distance must be <= 2**59, got {2**60}"),
         (("series", "--p", "0.5", "--distance", "3", "--max-gains", str(10**30)),
          f"distance + 2 * max_gains must be <= 2**59, got {3 + 2 * 10**30}"),
         (("series", "--p", "0.5", "--distance", str(10**23), "--max-gains", "0"),
@@ -644,9 +666,16 @@ def test_input_too_large_for_memory_exits_2(argv):
         (("compare", "--p", "0.5", "--distance", "3", "--max-steps", str(2**60),
           "--horizon", str(2**60), "--seed", "1"),
          f"horizon must be <= 2**59, got {2**60}"),
+        (("compare", "--p", "0.5", "--distance", str(2**60), "--max-steps", str(2**60),
+          "--horizon", str(2**60), "--seed", "1"),
+         f"distance must be <= 2**59, got {2**60}"),
+        (("compare", "--p", "0.5", "--distance", str(2**60), "--max-steps", str(2**60),
+          "--horizon", str(2**59), "--seed", "1"),
+         f"distance must be <= 2**59, got {2**60}"),
     ],
-    ids=["exact-horizon", "exact-distance", "series-max-gains", "series-distance",
-         "compare-max-gains", "compare-max-steps", "compare-horizon"],
+    ids=["exact-horizon", "exact-distance", "exact-distance-lower-horizon",
+         "series-max-gains", "series-distance", "compare-max-gains", "compare-max-steps",
+         "compare-horizon", "compare-distance", "compare-distance-lower-horizon"],
 )
 def test_inputs_past_the_kernel_bound_name_their_flag(capsys, argv, message):
     # numpy refused these arrays with "Maximum allowed size/dimension

@@ -28,9 +28,10 @@ from ruinlab.montecarlo import (
     _POOL_PROCESS_S,
     _POOL_START_S,
     BATCH_TRIALS,
+    _LOG_FACTORIALS,
     _ballot_steps,
+    _block_lengths,
     _crossing,
-    _log_factorials,
     _losses,
 )
 
@@ -287,7 +288,6 @@ def test_bridge_crossing_and_ballot_law_match_enumeration():
     # every block of m <= 12 steps with k losses from gap g <= 7: the
     # reflection probability and the inverse CDF of the ballot law against
     # exact enumeration of the arrangements
-    lf = _log_factorials(_BRIDGE_MAX + 1)
     g_, m_, k_, u_, want = [], [], [], [], []
     for m in range(1, 13):
         for k in range(m + 1):
@@ -297,7 +297,7 @@ def test_bridge_crossing_and_ballot_law_match_enumeration():
                     assert not masses
                     continue
                 total = sum(masses.values())
-                engine = _crossing(np.array([g]), np.array([m]), np.array([k]), lf)[0]
+                engine = _crossing(np.array([g]), np.array([m]), np.array([k]))[0]
                 assert engine == pytest.approx(float(total), rel=1e-12, abs=1e-15), (m, k, g)
                 below = Fraction(0)
                 for step in sorted(masses):
@@ -305,7 +305,7 @@ def test_bridge_crossing_and_ballot_law_match_enumeration():
                     for u in (float(below) + 1e-9, float(below + above) / 2, float(above) - 1e-9):
                         g_.append(g), m_.append(m), k_.append(k), u_.append(u), want.append(step)
                     below = above
-    steps = _ballot_steps(*(np.array(a) for a in (g_, m_, k_)), np.array(u_), lf)
+    steps = _ballot_steps(*(np.array(a) for a in (g_, m_, k_)), np.array(u_))
     assert len(want) > 2000
     assert steps.tolist() == want
 
@@ -319,8 +319,7 @@ def test_ballot_law_over_many_windows(m, k, g):
         j = g + 2 * r
         masses[j] = Fraction(g * math.comb(j, g + r) * math.comb(m - j, k - g - r),
                              j * math.comb(m, k))
-    lf = _log_factorials(_BRIDGE_MAX + 1)
-    assert _crossing(np.array([g]), np.array([m]), np.array([k]), lf)[0] == pytest.approx(
+    assert _crossing(np.array([g]), np.array([m]), np.array([k]))[0] == pytest.approx(
         float(sum(masses.values())), rel=1e-12)
     us, want = [], []
     below = Fraction(0)
@@ -334,20 +333,21 @@ def test_ballot_law_over_many_windows(m, k, g):
     # thousands of crossed trials at once keep the windows narrow
     us, want = us * 20, want * 20
     n = len(us)
-    steps = _ballot_steps(np.full(n, g), np.full(n, m), np.full(n, k), np.array(us), lf)
+    steps = _ballot_steps(np.full(n, g), np.full(n, m), np.full(n, k), np.array(us))
     assert steps.tolist() == want
 
 
-def test_log_factorial_table_grown_in_steps_equals_one_built_at_once(monkeypatch):
-    # an entry must not depend on how far, or in how many calls, the table grew
-    sizes = (100, 5000, 2**16 + 1)
-    monkeypatch.setattr(montecarlo, "_LOG_FACTORIALS", np.zeros(0))
-    stepped = [_log_factorials(size) for size in sizes][-1]
-    monkeypatch.setattr(montecarlo, "_LOG_FACTORIALS", np.zeros(0))
-    whole = _log_factorials(sizes[-1])
-    assert stepped.size == whole.size >= sizes[-1]
-    assert np.array_equal(stepped, whole)
-    assert _log_factorials(10) is whole  # a size already covered builds nothing
+def test_every_block_that_can_cross_fits_the_log_factorial_table():
+    # the crossing and ballot laws index the table up to the block length,
+    # so a block with m >= gap (the only kind that can cross) must not pass
+    # _BRIDGE_MAX at any walk, gap or horizon
+    gaps = np.array([17, 100, 2**16, 2**16 + 1, 2**16 + 2, 2**40])
+    for p in (0.0, 0.3, 0.5, 0.5 + 1e-9, 0.7, 1.0):
+        for remaining in (1, 2**16, 2**62):
+            m = _block_lengths(p, np.full(gaps.size, remaining), gaps)
+            assert (m[m >= gaps] <= _BRIDGE_MAX).all(), (p, remaining)
+    assert _LOG_FACTORIALS.size == _BRIDGE_MAX + 1
+    assert _LOG_FACTORIALS[:32].tolist() == [math.lgamma(n + 1) for n in range(32)]
 
 
 def test_ballot_step_past_the_rounded_cdf_is_the_last_step():
@@ -355,7 +355,7 @@ def test_ballot_step_past_the_rounded_cdf_is_the_last_step():
     # masses can end a hair under it: such a u takes the last step with mass
     g, m, k = np.array([17, 25, 3]), np.array([300, 300, 12]), np.array([160, 150, 7])
     last = np.minimum(np.minimum(k - g, m - k), (m - g) // 2)
-    steps = _ballot_steps(g, m, k, np.full(3, 2.0), _log_factorials(_BRIDGE_MAX + 1))
+    steps = _ballot_steps(g, m, k, np.full(3, 2.0))
     assert steps.tolist() == (g + 2 * last).tolist()
 
 
@@ -365,8 +365,7 @@ def test_ballot_step_past_the_rounded_cdf_is_the_last_step():
 ])
 def test_crossing_probability_is_accurate_up_to_the_table_size(m, k, g):
     exact = Fraction(math.comb(m, k - g), math.comb(m, k))
-    lf = _log_factorials(_BRIDGE_MAX + 1)
-    engine = _crossing(np.array([g]), np.array([m]), np.array([k]), lf)[0]
+    engine = _crossing(np.array([g]), np.array([m]), np.array([k]))[0]
     assert engine == pytest.approx(float(min(exact, 1)), rel=1e-9)
 
 
