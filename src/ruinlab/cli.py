@@ -18,7 +18,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
 from . import __version__, _engine_attr
@@ -54,8 +54,8 @@ DEMO_STATES = (("2011", 2.8), ("2012", 1.4), ("2013", 2.8))
 
 @dataclass(frozen=True)
 class CommandOutput:
-    result: dict
     # renderers: _emit calls only the one that --format selects
+    result: Callable[[], dict]  # the JSON record
     human: Callable[[], list[str]]
     table: Callable[[], tuple[tuple[str, ...], Iterable[tuple]]]  # CSV header, rows
     engine: dict | None = None  # Monte Carlo commands: see engine_record
@@ -277,22 +277,28 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_calibrate(args: argparse.Namespace) -> CommandOutput:
     spec = calibrate(args.loss_level, args.loss_factor)
-    result = _jsonable(spec)
-    return CommandOutput(result, lambda: [
+    return CommandOutput(lambda: _jsonable(spec), lambda: [
         f"loss level          {_fmt(spec.loss_level)}",
         f"loss factor         {_fmt(spec.loss_factor)}",
         f"distance (exact)    {_fmt(spec.distance_exact)}",
         f"distance (lattice)  {spec.distance}",
         f"implied loss level  {_fmt(spec.implied_loss_level)}",
-    ], lambda: (tuple(result), [tuple(result.values())]))
+    ], lambda: (tuple(_jsonable(spec)), [tuple(_jsonable(spec).values())]))
 
 
 def _cmd_series(args: argparse.Namespace) -> CommandOutput:
     report = _engines.ruin_series(args.p, args.distance, args.max_gains, args.mode)
-    result = _jsonable(report)
-    for encoded, term in zip(result["terms"], report.terms):
-        # exact decimal text: JSON readers would round a count past 2**53
-        encoded["path_count"] = _count_text(term.path_count)
+
+    def terms() -> Iterable[dict]:
+        # JSON and CSV carry each count as exact decimal text: JSON readers
+        # would round a count past 2**53
+        for term in report.terms:
+            try:
+                count = str(term.path_count)
+            except ValueError:  # past Python's int-to-str digit limit (4300 by default)
+                from decimal import Decimal  # imported only on this rare path
+                count = str(Decimal(term.path_count))
+            yield {**_jsonable(term), "path_count": count}
 
     def human() -> list[str]:
         tail = "inf" if math.isinf(report.tail_bound) else _fmt(report.tail_bound)
@@ -303,36 +309,41 @@ def _cmd_series(args: argparse.Namespace) -> CommandOutput:
             "",
             f"{'N':>5} {'count':>24} {'probability':>16} {'cumulative':>16}",
         ]
-        for encoded, term in zip(result["terms"], report.terms):
-            count = encoded["path_count"]
-            if len(count) > 24:
+        for term in report.terms:
+            count = term.path_count
+            if count >= 10**24:  # wider than its column: the short form
                 from decimal import Decimal  # imported only for long counts
-                count = f"{Decimal(term.path_count):.6e}"
+                count = f"{Decimal(count):.6e}"
             lines.append(
                 f"{term.n_gains:>5} {count:>24} {term.probability:>16.9e} "
                 f"{term.cumulative:>16.12f}"
             )
         return lines
 
-    return CommandOutput(result, human, lambda: (
-        ("N", "count", "probability", "cumulative"),
-        (tuple(term.values()) for term in result["terms"]),
-    ))
+    return CommandOutput(
+        lambda: {**_jsonable(replace(report, terms=())), "terms": list(terms())},
+        human,
+        lambda: (("N", "count", "probability", "cumulative"),
+                 (tuple(term.values()) for term in terms())),
+    )
 
 
 def _cmd_exact(args: argparse.Namespace) -> CommandOutput:
     absorption = _engines.ruin_probability_dp(
         args.p, args.distance, args.horizon, keep_distribution=args.distribution
     )
-    result = {"p_gain": args.p, "distance": args.distance, **_jsonable(absorption)}
     mean = absorption.expected_time_censored
+
+    def result() -> dict:
+        return {"p_gain": args.p, "distance": args.distance, **_jsonable(absorption)}
 
     def table() -> tuple[tuple[str, ...], Iterable[tuple]]:
         if args.distribution:
             return ("step", "probability_mass"), absorption.ruin_time_distribution.items()
         header = ("p", "distance", "horizon", "ruin_probability_within_horizon",
                   "survival_mass", "expected_time_censored")
-        return header, [(args.p, *(result[key] for key in header[1:]))]
+        record = result()
+        return header, [(args.p, *(record[key] for key in header[1:]))]
 
     return CommandOutput(result, lambda: [
         f"p={_fmt(args.p)} distance={args.distance} horizon={args.horizon}",
@@ -367,7 +378,7 @@ def _cmd_simulate(args: argparse.Namespace) -> CommandOutput:
     config = _resolve_sim_config(args)
     result = _engines.simulate(config, progress=_progress_printer("simulate"))
     mean = result.mean_time_to_ruin
-    return CommandOutput(_jsonable(result), lambda: [
+    return CommandOutput(lambda: _jsonable(result), lambda: [
         f"p={_fmt(config.p)} distance={config.distance} "
         f"trials={config.trials} max_steps={config.max_steps} seed={config.seed}",
         f"ruined    {result.ruined}",
@@ -423,8 +434,8 @@ def _cmd_transform(args: argparse.Namespace) -> CommandOutput:
         }
         return tuple(row), [tuple(row.values())]
 
-    payload = {**_jsonable(result), "rebalanced": _jsonable(rebalanced)}
-    return CommandOutput(payload, human, table)
+    return CommandOutput(lambda: {**_jsonable(result), "rebalanced": _jsonable(rebalanced)},
+                         human, table)
 
 
 def _cmd_compare(args: argparse.Namespace) -> CommandOutput:
@@ -451,7 +462,7 @@ def _cmd_compare(args: argparse.Namespace) -> CommandOutput:
                       f"  {e.note if e.valid else '[invalid] ' + e.note}" for e in estimates)
         return lines
 
-    return CommandOutput(_jsonable(comparison), human, lambda: (
+    return CommandOutput(lambda: _jsonable(comparison), human, lambda: (
         ("section", "method", "value", "valid", "abs_dev_from_dp", "note"),
         ((section, e.method, e.value, e.valid, e.abs_dev_from_dp, e.note)
          for section, _, estimates in sections for e in estimates),
@@ -471,7 +482,6 @@ def _cmd_demo(args: argparse.Namespace) -> CommandOutput:
             {"year": year, "yield_percent": level, "move": move, "lattice_position": position}
         )
         prev = level
-    result = {"scenario": DEMO_SCENARIO, "states": states}
 
     def human() -> list[str]:
         lines = [
@@ -490,9 +500,8 @@ def _cmd_demo(args: argparse.Namespace) -> CommandOutput:
             "0.25 from the 2011 start would sit two lattice steps down, at 0.7%.",
         ]
 
-    return CommandOutput(
-        result, human, lambda: (tuple(states[0]), [tuple(s.values()) for s in states])
-    )
+    return CommandOutput(lambda: {"scenario": DEMO_SCENARIO, "states": states}, human,
+                         lambda: (tuple(states[0]), [tuple(s.values()) for s in states]))
 
 
 # ----------------------------------------------------------------------
@@ -520,7 +529,7 @@ def _manifest(args: argparse.Namespace, output: CommandOutput) -> dict:
 def _emit(args: argparse.Namespace, output: CommandOutput) -> None:
     manifest = _manifest(args, output)
     if args.format == "json":
-        print(json.dumps({"manifest": manifest, "result": output.result}))
+        print(json.dumps({"manifest": manifest, "result": output.result()}))
     elif args.format == "csv":
         header, rows = output.table()
         writer = csv.writer(sys.stdout, lineterminator="\n")
@@ -548,16 +557,6 @@ def _fmt(value: float) -> str:
 
 def _cell(value: float | None) -> str:
     return "-" if value is None else f"{value:.9g}"
-
-
-def _count_text(count: int) -> str:
-    """Exact decimal digits of a path count; past Python's int-to-str digit
-    limit (4300 by default) through ``Decimal``, which it spares."""
-    try:
-        return str(count)
-    except ValueError:
-        from decimal import Decimal  # imported only on this rare path
-        return str(Decimal(count))
 
 
 def _jsonable(value):

@@ -34,9 +34,11 @@ CASES = {
     "series_exact": ("series", "--p", "0.6", "--distance", "3", "--max-gains", "6"),
     "series_paper": ("series", "--p", "0.5", "--distance", "2", "--max-gains", "6",
                      "--mode", "paper"),
-    # counts pass 24 digits from N = 43: the human short form and the long
-    # exact text of JSON and CSV
+    # counts pass 24 digits from N = 43 (exact) and N = 42 (paper): the human
+    # short form and the long exact text of JSON and CSV
     "series_long": ("series", "--p", "0.5", "--distance", "3", "--max-gains", "60"),
+    "series_long_paper": ("series", "--p", "0.5", "--distance", "2", "--max-gains", "60",
+                          "--mode", "paper"),
     "exact": ("exact", "--p", "0.45", "--distance", "3", "--horizon", "40"),
     "exact_distribution": ("exact", "--p", "0.45", "--distance", "3", "--horizon", "15",
                            "--distribution"),
@@ -65,8 +67,8 @@ def golden_path(case: str, fmt: str) -> str:
     return os.path.join(GOLDEN, f"{case}.{fmt}")
 
 
-# the only renderer each format may call: JSON prints the result record
-RENDERS = {"human": ["human"], "json": [], "csv": ["table"]}
+# the only renderer each format may call
+RENDERS = {"human": ["human"], "json": ["result"], "csv": ["table"]}
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
@@ -84,7 +86,8 @@ def test_stdout_matches_golden(case, fmt, monkeypatch):
         return call
 
     def emit(args, output):
-        real_emit(args, dataclasses.replace(output, human=tracked("human", output.human),
+        real_emit(args, dataclasses.replace(output, result=tracked("result", output.result),
+                                            human=tracked("human", output.human),
                                             table=tracked("table", output.table)))
 
     monkeypatch.setattr(cli, "_emit", emit)
