@@ -9,21 +9,20 @@ asymmetric gain/loss legs.
 
 from importlib import import_module
 
-from .errors import DomainError, InfeasibleTargetError, RuinlabError, ValidityError
-from .model import RuinSpec, TrialModel, calibrate, lattice_distance
-from .transform import (
-    RebalancedRuinInputs,
-    TransformResult,
-    model_mean,
-    rebalance,
-    rebalanced_ruin_inputs,
-)
-
 __version__ = "0.3.0"
 
-# The numeric engines import numpy, so they load on first use (PEP 562):
-# commands that only calibrate or transform start without it.
-_ENGINE_OF = {
+# Every public name loads from its module on first use (PEP 562): the
+# engines import numpy, and `import ruinlab` alone loads no submodule.
+_MODULE_OF = {
+    **dict.fromkeys(
+        ("DomainError", "InfeasibleTargetError", "RuinlabError", "ValidityError"), "errors"
+    ),
+    **dict.fromkeys(("RuinSpec", "TrialModel", "calibrate", "lattice_distance"), "model"),
+    **dict.fromkeys(
+        ("RebalancedRuinInputs", "TransformResult", "model_mean", "rebalance",
+         "rebalanced_ruin_inputs"),
+        "transform",
+    ),
     **dict.fromkeys(
         ("MethodComparison", "MethodEstimate", "SimConfig", "SimResult",
          "compare_methods", "engine_record", "simulate"),
@@ -42,32 +41,14 @@ _ENGINE_OF = {
 }
 
 
-def _engine_attr(namespace: dict, name: str):
-    """Load the engine name ``name`` and bind it in the module ``namespace``
-    (this package's or a module that resolves engine names from it)."""
-    if name not in _ENGINE_OF:
-        raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
-    value = namespace[name] = getattr(import_module(f".{_ENGINE_OF[name]}", __name__), name)
+def __getattr__(name: str):
+    """Load the public name ``name`` and bind it in this package.  Modules
+    that resolve public names from here (``cli``) use this as their own
+    ``__getattr__``."""
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
     return value
 
 
-def __getattr__(name: str):
-    return _engine_attr(globals(), name)
-
-
-__all__ = sorted([
-    "DomainError",
-    "InfeasibleTargetError",
-    "RebalancedRuinInputs",
-    "RuinSpec",
-    "RuinlabError",
-    "TransformResult",
-    "TrialModel",
-    "ValidityError",
-    "calibrate",
-    "lattice_distance",
-    "model_mean",
-    "rebalance",
-    "rebalanced_ruin_inputs",
-    *_ENGINE_OF,
-]) + ["__version__"]
+__all__ = sorted(_MODULE_OF) + ["__version__"]

@@ -21,21 +21,16 @@ import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Sequence
 
-from . import __version__, _engine_attr
+from . import __getattr__, __version__  # noqa: F401
 from .errors import DomainError, RuinlabError, ValidityError
 from .model import TrialModel, calibrate
 from .transform import rebalance, rebalanced_ruin_inputs
 
 # The engines (series, oracle, montecarlo) import numpy, so their names load
-# on first use from the package's table.  Handlers call them as
+# on first use through the package's loader.  Handlers call them as
 # ``_engines.<name>``, so a replacement bound here (a test double, a
 # tracer's wrapper) is what runs.
 _engines = sys.modules[__name__]
-
-
-def __getattr__(name: str):
-    return _engine_attr(globals(), name)
-
 
 FORMATS = ("human", "json", "csv")
 FORMAT_ENV_VAR = "RUINLAB_FORMAT"
@@ -47,9 +42,10 @@ DEFAULT_LOSS_FACTOR = -0.5
 
 # Demo scenario: U.S. ten-year treasury yields, summers of 2011-2013.
 # 2.8% halved to 1.4%, then doubled back: one loss step and one gain step
-# on the halving/doubling lattice.
+# on the halving/doubling lattice.  Rows: year, yield in percent, lattice
+# move (none at the start) and lattice position.
 DEMO_SCENARIO = "us-10y-treasury-2011-2013"
-DEMO_STATES = (("2011", 2.8), ("2012", 1.4), ("2013", 2.8))
+DEMO_STATES = (("2011", 2.8, None, 0), ("2012", 1.4, -1, -1), ("2013", 2.8, 1, 0))
 
 
 @dataclass(frozen=True)
@@ -470,18 +466,8 @@ def _cmd_compare(args: argparse.Namespace) -> CommandOutput:
 
 
 def _cmd_demo(args: argparse.Namespace) -> CommandOutput:
-    states = []
-    position = 0
-    prev = None
-    for year, level in DEMO_STATES:
-        move = None
-        if prev is not None:
-            move = 1 if level > prev else -1
-            position += move
-        states.append(
-            {"year": year, "yield_percent": level, "move": move, "lattice_position": position}
-        )
-        prev = level
+    states = [dict(zip(("year", "yield_percent", "move", "lattice_position"), row))
+              for row in DEMO_STATES]
 
     def human() -> list[str]:
         lines = [

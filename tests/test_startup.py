@@ -140,6 +140,28 @@ def test_module_entry_points_run_the_cli_without_numpy(module):
     assert "numpy" not in imported
 
 
+@pytest.mark.parametrize(
+    "code, loaded",
+    [
+        ("import ruinlab", []),
+        ("import ruinlab\nruinlab.calibrate", ["ruinlab.errors", "ruinlab.model"]),
+        # every command pays for this set before its handler runs
+        ("import ruinlab.cli",
+         ["ruinlab.cli", "ruinlab.errors", "ruinlab.model", "ruinlab.transform"]),
+    ],
+    ids=["package", "calibrate", "cli"],
+)
+def test_imports_load_only_the_modules_they_use(code, loaded):
+    proc = fresh_python(
+        f"{code}\n"
+        "import json, sys\n"
+        "print(json.dumps(sorted(m for m in sys.modules\n"
+        "                        if m.startswith('ruinlab.') or m == 'numpy')))\n"
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == loaded
+
+
 def test_package_import_defers_engines_until_a_name_is_used():
     proc = fresh_python(
         "import json, sys\n"
