@@ -12,24 +12,20 @@ output is written, as in ``ruinlab exact ... | head``.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
 import re
 import sys
-from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import __getattr__, __version__  # noqa: F401
 from .errors import DomainError, RuinlabError, ValidityError
-from .model import TrialModel, calibrate
-from .transform import rebalance, rebalanced_ruin_inputs
 
-# The engines (series, oracle, montecarlo) import numpy, so their names load
-# on first use through the package's loader.  Handlers call them as
-# ``_engines.<name>``, so a replacement bound here (a test double, a
-# tracer's wrapper) is what runs.
+# Every ruinlab name but the errors loads on first use through the package's
+# loader, so a command loads only the modules it calls (the engines import
+# numpy).  Handlers call them as ``_engines.<name>``, so a replacement bound
+# here (a test double, a tracer's wrapper) is what runs.
 _engines = sys.modules[__name__]
 
 FORMATS = ("human", "json", "csv")
@@ -48,8 +44,7 @@ DEMO_SCENARIO = "us-10y-treasury-2011-2013"
 DEMO_STATES = (("2011", 2.8, None, 0), ("2012", 1.4, -1, -1), ("2013", 2.8, 1, 0))
 
 
-@dataclass(frozen=True)
-class CommandOutput:
+class CommandOutput(NamedTuple):
     # renderers: _emit calls only the one that --format selects
     result: Callable[[], dict]  # the JSON record
     human: Callable[[], list[str]]
@@ -272,7 +267,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_calibrate(args: argparse.Namespace) -> CommandOutput:
-    spec = calibrate(args.loss_level, args.loss_factor)
+    spec = _engines.calibrate(args.loss_level, args.loss_factor)
     return CommandOutput(lambda: _jsonable(spec), lambda: [
         f"loss level          {_fmt(spec.loss_level)}",
         f"loss factor         {_fmt(spec.loss_factor)}",
@@ -317,7 +312,7 @@ def _cmd_series(args: argparse.Namespace) -> CommandOutput:
         return lines
 
     return CommandOutput(
-        lambda: {**_jsonable(replace(report, terms=())), "terms": list(terms())},
+        lambda: {**_jsonable(report._replace(terms=())), "terms": list(terms())},
         human,
         lambda: (("N", "count", "probability", "cumulative"),
                  (tuple(term.values()) for term in terms())),
@@ -362,7 +357,7 @@ def _resolve_sim_config(args: argparse.Namespace) -> SimConfig:
         )
     distance = args.distance
     if args.loss_level is not None:
-        distance = calibrate(args.loss_level, args.loss_factor).distance
+        distance = _engines.calibrate(args.loss_level, args.loss_factor).distance
     if distance is None:
         raise DomainError("one of --distance or --loss-level is required")
     return _engines.SimConfig(
@@ -387,12 +382,12 @@ def _cmd_simulate(args: argparse.Namespace) -> CommandOutput:
 
 
 def _cmd_transform(args: argparse.Namespace) -> CommandOutput:
-    model = TrialModel(
+    model = _engines.TrialModel(
         p_gain=args.p, gain_factor=args.gain_factor, loss_factor=args.loss_factor
     )
-    result = rebalance(model, args.target_gain_factor, args.target_loss_factor)
+    result = _engines.rebalance(model, args.target_gain_factor, args.target_loss_factor)
     rebalanced = (
-        rebalanced_ruin_inputs(result, args.loss_level)
+        _engines.rebalanced_ruin_inputs(result, args.loss_level)
         if args.loss_level is not None
         else None
     )
@@ -517,6 +512,7 @@ def _emit(args: argparse.Namespace, output: CommandOutput) -> None:
     if args.format == "json":
         print(json.dumps({"manifest": manifest, "result": output.result()}))
     elif args.format == "csv":
+        import csv  # loaded only for CSV output
         header, rows = output.table()
         writer = csv.writer(sys.stdout, lineterminator="\n")
         # manifest rides along as a comment line so the rows stay parseable
@@ -546,16 +542,16 @@ def _cell(value: float | None) -> str:
 
 
 def _jsonable(value):
-    """JSON form of an engine result: dataclass fields in declaration order,
-    tuples and lists as lists, non-finite floats as ``None``, and dicts (the
-    engines' step maps, JSON-ready) as they are.  The leaf checks come
-    first: a series holds thousands of floats."""
+    """JSON form of an engine result: record fields in declaration order,
+    other tuples and lists as lists, non-finite floats as ``None``, and
+    dicts (the engines' step maps, JSON-ready) as they are.  The leaf checks
+    come first: a series holds thousands of floats."""
     if isinstance(value, float):
         return value if math.isfinite(value) else None
+    if hasattr(value, "_fields"):  # a record is a tuple too: before the tuple branch
+        return {name: _jsonable(item) for name, item in zip(value._fields, value)}
     if isinstance(value, (list, tuple)):
         return [_jsonable(item) for item in value]
-    if hasattr(value, "__dataclass_fields__"):
-        return {name: _jsonable(getattr(value, name)) for name in value.__dataclass_fields__}
     return value
 
 

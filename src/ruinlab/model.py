@@ -11,7 +11,7 @@ lattice walk, which is what every other module in this package operates on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError
 
@@ -20,20 +20,30 @@ from .errors import DomainError
 _SNAP = 1e-9
 
 
-@dataclass(frozen=True)
-class TrialModel:
+class _TrialModelFields(NamedTuple):
+    p_gain: float
+    gain_factor: float
+    loss_factor: float
+
+    @property
+    def p_loss(self) -> float:
+        return 1.0 - self.p_gain
+
+
+class TrialModel(_TrialModelFields):
     """Per-trial gain probability and multiplicative move sizes.
 
     ``gain_factor`` is a finite signed fraction > 0 (+1.00 means a 100% gain);
     ``loss_factor`` is a signed fraction in (-1, 0) (-0.50 means a 50%
     loss).  A single loss can therefore never wipe out the bankroll.
+    Construction, ``_make``, ``_replace`` and unpickling all validate.
     """
 
-    p_gain: float
-    gain_factor: float
-    loss_factor: float
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> TrialModel:
+        self = super().__new__(cls, *args, **kwargs)
         if not 0.0 <= self.p_gain <= 1.0:
             raise DomainError(f"p_gain must be in [0, 1], got {self.p_gain}")
         if not 0.0 < self.gain_factor < math.inf:
@@ -44,14 +54,10 @@ class TrialModel:
             raise DomainError(
                 f"loss_factor must be in (-1, 0), got {self.loss_factor}"
             )
-
-    @property
-    def p_loss(self) -> float:
-        return 1.0 - self.p_gain
+        return self
 
 
-@dataclass(frozen=True)
-class RuinSpec:
+class RuinSpec(NamedTuple):
     """A ruin threshold and its integer lattice distance.
 
     ``distance_exact`` is the real-valued solution of

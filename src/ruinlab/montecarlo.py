@@ -44,10 +44,9 @@ import math
 import os
 from collections import Counter
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
 from functools import partial
 from time import perf_counter
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -111,15 +110,7 @@ _MAX_STEPS = 2**62
 ProgressCallback = Callable[[int, int], None]
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    """Monte Carlo run parameters for the lattice walk (p, distance).
-
-    ``workers`` caps the processes a run may use (``None``: one per CPU);
-    it changes wall-clock time only, never the result.  Whether a pool
-    starts, and its size, ``simulate`` decides from the first batch's time.
-    """
-
+class _SimConfigFields(NamedTuple):
     p: float
     distance: int
     trials: int
@@ -127,7 +118,22 @@ class SimConfig:
     seed: int
     workers: int | None = None
 
-    def __post_init__(self) -> None:
+
+class SimConfig(_SimConfigFields):
+    """Monte Carlo run parameters for the lattice walk (p, distance).
+
+    ``workers`` caps the processes a run may use (``None``: one per CPU);
+    it changes wall-clock time only, never the result.  Whether a pool
+    starts, and its size, ``simulate`` decides from the first batch's time.
+    Construction, ``_make``, ``_replace`` and unpickling (a pool worker's
+    copy) all validate.
+    """
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(cls, *args, **kwargs) -> SimConfig:
+        self = super().__new__(cls, *args, **kwargs)
         check_walk(self.p, self.distance)
         if self.distance % 1:  # a fractional barrier would act as its ceiling
             raise DomainError(f"distance must be an integer, got {self.distance}")
@@ -150,18 +156,18 @@ class SimConfig:
             raise DomainError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
         if self.workers is not None and self.workers < 1:
             raise DomainError(f"workers must be >= 1, got {self.workers}")
+        return self
 
     @classmethod
     def for_lattice(
         cls, p: float, d: int, trials: int, max_steps: int, seed: int, workers: int | None = None
-    ) -> "SimConfig":
+    ) -> SimConfig:
         """The plain constructor under its old name, kept only because the
         benchmark's probes (``bench/tracing.py``) still call it."""
         return cls(p, d, trials, max_steps, seed, workers)
 
 
-@dataclass(frozen=True)
-class SimResult:
+class SimResult(NamedTuple):
     """Aggregate outcome of a simulation run.
 
     ``ruined + censored == trials``; ``stderr`` is the binomial standard
@@ -454,8 +460,7 @@ def _step(
     return gap[live], t[live], t[ruined] - steps + 1 + first[ruined]
 
 
-@dataclass(frozen=True)
-class MethodEstimate:
+class MethodEstimate(NamedTuple):
     """One method's estimate next to the DP reference."""
 
     method: str
@@ -465,8 +470,7 @@ class MethodEstimate:
     abs_dev_from_dp: float | None
 
 
-@dataclass(frozen=True)
-class MethodComparison:
+class MethodComparison(NamedTuple):
     """Aligned ruin-probability and expected-time estimates.
 
     The DP at ``dp_horizon`` is the reference; every other row carries its
@@ -553,7 +557,7 @@ def _as_probability(row: MethodEstimate) -> MethodEstimate:
     """A ruin-probability row outside [0, 1] is invalid; its value stays."""
     if row.value is None or 0.0 <= row.value <= 1.0:
         return row
-    return replace(row, valid=False, note="; ".join(filter(None, ("outside [0, 1]", row.note))))
+    return row._replace(valid=False, note="; ".join(filter(None, ("outside [0, 1]", row.note))))
 
 
 def _estimate(

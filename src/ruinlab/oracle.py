@@ -15,7 +15,7 @@ provided alongside for comparison tables.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,8 +72,7 @@ def check_horizon(horizon: int, name: str = "horizon") -> None:
         raise DomainError(f"{name} must be <= 2**59, got {horizon}")
 
 
-@dataclass(frozen=True)
-class AbsorptionResult:
+class AbsorptionResult(NamedTuple):
     """Ruin mass absorbed within a finite horizon.
 
     ``expected_time_censored`` is the mean number of steps among paths
@@ -87,7 +86,7 @@ class AbsorptionResult:
     horizon: int
     expected_time_censored: float
     survival_mass: float
-    ruin_time_distribution: dict[int, float] | None = field(default=None, repr=False)
+    ruin_time_distribution: dict[int, float] | None = None
 
 
 def ruin_probability_dp(

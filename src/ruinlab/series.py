@@ -18,9 +18,8 @@ term probabilities from :func:`ruinlab.oracle.first_passage_masses`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate
-from typing import Literal
+from typing import Literal, NamedTuple
 
 from .errors import DomainError, ValidityError
 from .oracle import check_horizon, check_walk, first_passage_masses
@@ -58,8 +57,7 @@ def exact_coefficient(d: int, n_gains: int) -> int:
     return numerator // length
 
 
-@dataclass(frozen=True)
-class SeriesTerm:
+class SeriesTerm(NamedTuple):
     """One term of the ruin series: ``probability = path_count * q**(d+N) * p**N``."""
 
     n_gains: int
@@ -68,8 +66,7 @@ class SeriesTerm:
     cumulative: float
 
 
-@dataclass(frozen=True)
-class SeriesReport:
+class SeriesReport(NamedTuple):
     """Partial sums of the ruin series up to ``truncation`` gains.
 
     ``cumulative`` is the last term's running sum.  ``tail_bound`` is a

@@ -18,7 +18,7 @@ original (adjusted gain probability below one half, small distances).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, InfeasibleTargetError
 from .model import TrialModel, calibrate
@@ -29,8 +29,7 @@ WARN_SMALL_DISTANCE = "small_distance"
 _SMALL_DISTANCE = 5
 
 
-@dataclass(frozen=True)
-class TransformResult:
+class TransformResult(NamedTuple):
     """Probabilities that make the target legs match the original mean.
 
     ``p_loss_adjusted + p_gain_adjusted == 1`` and the rebalanced mean
@@ -47,8 +46,7 @@ class TransformResult:
     warnings: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class RebalancedRuinInputs:
+class RebalancedRuinInputs(NamedTuple):
     """Adjusted gain probability packaged with the recalibrated distance,
     ready for the series, DP, or Monte Carlo engines."""
 

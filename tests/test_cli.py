@@ -6,8 +6,8 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import dataclass
 from decimal import Decimal
+from typing import NamedTuple
 
 import pytest
 
@@ -767,15 +767,18 @@ def test_manifest_echoes_defaults(capsys):
 
 
 def test_json_encoder_contract():
-    @dataclass(frozen=True)
-    class Record:
+    class Record(NamedTuple):
         zeta: float
         alpha: tuple
         steps: dict
 
-    encoded = _jsonable(Record(math.nan, (1.5, -math.inf, (2,)), {9: 0.5, 10: 1}))
+    inner = Record(1.0, (), {})
+    encoded = _jsonable(Record(math.nan, (1.5, -math.inf, (2,), inner), {9: 0.5, 10: 1}))
     assert list(encoded) == ["zeta", "alpha", "steps"]  # declaration order
-    assert encoded == {"zeta": None, "alpha": [1.5, None, [2]], "steps": {9: 0.5, 10: 1}}
+    # a record is a tuple too, but encodes as a map at any depth
+    inner_encoded = {"zeta": 1.0, "alpha": [], "steps": {}}
+    assert encoded == {"zeta": None, "alpha": [1.5, None, [2], inner_encoded],
+                       "steps": {9: 0.5, 10: 1}}
     # an engine's step map passes through; json writes its int keys as text
     assert json.dumps(encoded["steps"]) == '{"9": 0.5, "10": 1}'
     assert _jsonable(None) is None

@@ -11,7 +11,6 @@ To re-record after a deliberate output change, run
 ``PYTHONPATH=src python tests/test_cli_golden.py`` and review the diff.
 """
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -86,9 +85,9 @@ def test_stdout_matches_golden(case, fmt, monkeypatch):
         return call
 
     def emit(args, output):
-        real_emit(args, dataclasses.replace(output, result=tracked("result", output.result),
-                                            human=tracked("human", output.human),
-                                            table=tracked("table", output.table)))
+        real_emit(args, output._replace(result=tracked("result", output.result),
+                                        human=tracked("human", output.human),
+                                        table=tracked("table", output.table)))
 
     monkeypatch.setattr(cli, "_emit", emit)
     assert stdout_of((*CASES[case], "--format", fmt)) == expected

@@ -1,5 +1,7 @@
 """Distance calibration: log-scale reduction of the multiplicative problem."""
 import math
+import pickle
+import re
 
 import pytest
 
@@ -115,6 +117,36 @@ def test_trial_model_validation():
         TrialModel(p_gain=0.5, gain_factor=1.0, loss_factor=0.25)
     model = TrialModel(p_gain=0.7, gain_factor=1.0, loss_factor=-0.5)
     assert model.p_loss == pytest.approx(0.3)
+
+
+VALID_MODEL = {"p_gain": 0.7, "gain_factor": 1.0, "loss_factor": -0.5}
+
+
+@pytest.mark.parametrize("build", ["constructor", "_replace", "_make", "pickle"])
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("p_gain", 1.2, "p_gain must be in [0, 1], got 1.2"),
+        ("gain_factor", 0.0, "gain_factor must be finite and > 0, got 0.0"),
+        ("loss_factor", -1.0, "loss_factor must be in (-1, 0), got -1.0"),
+    ],
+)
+def test_trial_model_validates_however_it_is_built(build, field, value, message):
+    # _replace builds through _make: neither may skip the constructor's checks
+    fields = {**VALID_MODEL, field: value}
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        if build == "constructor":
+            TrialModel(**fields)
+        elif build == "_replace":
+            TrialModel(**VALID_MODEL)._replace(**{field: value})
+        elif build == "_make":
+            TrialModel._make(fields.values())
+        else:  # a copy of a record built past the checks
+            pickle.loads(pickle.dumps(tuple.__new__(TrialModel, fields.values())))
+    replaced = TrialModel(**VALID_MODEL)._replace(p_gain=0.25)
+    assert type(replaced) is TrialModel
+    assert replaced == TrialModel(0.25, 1.0, -0.5)
+    assert replaced.p_loss == 0.75
 
 
 @pytest.mark.parametrize("factor", [math.inf, -math.inf, math.nan, float("1e400")])

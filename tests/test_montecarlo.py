@@ -1,11 +1,12 @@
 """Simulation engine: determinism, statistics against the DP oracle, and
 the bankroll/lattice equivalence."""
 import concurrent.futures
-import dataclasses
 import itertools
 import json
 import math
 import os
+import pickle
+import re
 from fractions import Fraction
 from functools import partial
 
@@ -138,7 +139,7 @@ def test_process_pool_is_sized_by_workers_batches_and_cpus(
     config = lattice_config(0.3, 1, batches * BATCH_TRIALS, 5, seed=3, workers=workers)
     result, calls = recorded(config)
     assert started_pools == pool_sizes
-    assert (result, calls) == recorded(dataclasses.replace(config, workers=1))
+    assert (result, calls) == recorded(config._replace(workers=1))
     assert calls == [(done, batches) for done in range(1, batches + 1)]
 
 
@@ -171,7 +172,7 @@ def test_pool_starts_only_when_it_saves_more_than_it_costs(
         result, calls = recorded(config)
         assert started_pools == sizes
         assert calls == [(done, 4) for done in range(1, 5)]
-        assert result == simulate(dataclasses.replace(config, workers=1))
+        assert result == simulate(config._replace(workers=1))
 
 
 def test_different_seeds_differ():
@@ -446,6 +447,40 @@ def test_config_validation():
             SimConfig(0.5, d, trials=10, max_steps=100, seed=1)
 
 
+VALID_CONFIG = {"p": 0.5, "distance": 3, "trials": 10, "max_steps": 100, "seed": 1,
+                "workers": None}
+
+
+@pytest.mark.parametrize("build", ["constructor", "_replace", "_make", "pickle"])
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("p", 1.5, "p must be in [0, 1], got 1.5"),
+        ("distance", 2.5, "distance must be an integer, got 2.5"),
+        ("trials", -5, "trials must be >= 1, got -5"),
+        ("max_steps", 2, "max_steps must be >= distance 3, got 2"),
+        ("seed", 2**64, "seed must be a 64-bit unsigned integer, got 18446744073709551616"),
+        ("workers", 0, "workers must be >= 1, got 0"),
+    ],
+)
+def test_config_validates_however_it_is_built(build, field, value, message):
+    # _replace builds through _make, and a pool worker's copy through
+    # unpickling: neither may skip the checks the constructor makes
+    fields = {**VALID_CONFIG, field: value}
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        if build == "constructor":
+            SimConfig(**fields)
+        elif build == "_replace":
+            SimConfig(**VALID_CONFIG)._replace(**{field: value})
+        elif build == "_make":
+            SimConfig._make(fields.values())
+        else:  # a copy of a record built past the checks
+            pickle.loads(pickle.dumps(tuple.__new__(SimConfig, fields.values())))
+    replaced = SimConfig(**VALID_CONFIG)._replace(workers=2)
+    assert type(replaced) is SimConfig
+    assert replaced == SimConfig(**{**VALID_CONFIG, "workers": 2})
+
+
 def test_config_rejects_horizons_past_int64_block_arithmetic():
     SimConfig(1.0, 2**62, trials=1, max_steps=2**62, seed=1)
     with pytest.raises(DomainError, match="max_steps must be <= 2\\*\\*62"):
@@ -453,8 +488,7 @@ def test_config_rejects_horizons_past_int64_block_arithmetic():
 
 
 def test_config_has_only_the_fields_simulate_reads():
-    names = [f.name for f in dataclasses.fields(SimConfig)]
-    assert names == ["p", "distance", "trials", "max_steps", "seed", "workers"]
+    assert SimConfig._fields == ("p", "distance", "trials", "max_steps", "seed", "workers")
     assert SimConfig.for_lattice(0.6, 3, 10, 100, 42, 2) == SimConfig(0.6, 3, 10, 100, 42, 2)
     # no cap unless one is given, under either name
     assert SimConfig.for_lattice(0.6, 3, 10, 100, 42) == SimConfig(0.6, 3, 10, 100, 42)

@@ -33,15 +33,15 @@ def run_python(*args: str) -> subprocess.CompletedProcess:
     )
 
 
-def loaded_after_main(*argv: str) -> tuple[int, set[str]]:
+def loaded_after_main(*argv: str, watched: tuple[str, ...] = WATCHED) -> tuple[int, set[str]]:
     """Exit code of ``main(argv)`` in a fresh interpreter, and which of
-    ``WATCHED`` it left in ``sys.modules``."""
+    ``watched`` it left in ``sys.modules``."""
     code = f"""
 import contextlib, io, json, sys
 from ruinlab.cli import main
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     exit_code = main({list(argv)!r})
-print(json.dumps([exit_code, [m for m in {WATCHED!r} if m in sys.modules]]))
+print(json.dumps([exit_code, [m for m in {watched!r} if m in sys.modules]]))
 """
     proc = fresh_python(code)
     assert proc.returncode == 0, proc.stderr
@@ -54,23 +54,39 @@ TRANSFORM = ("transform", "--p", "0.5", "--gain-factor", "0.75", "--loss-factor"
 
 
 @pytest.mark.parametrize(
-    "argv, expected_exit",
+    "argv, expected_exit, expected",
     [
-        (("calibrate", "--loss-level", "0.25"), 0),
-        ((*TRANSFORM, "--target-loss-factor", "-0.5", "--loss-level", "0.25"), 0),
-        ((*TRANSFORM, "--target-loss-factor", "0.1"), 3),  # infeasible target
-        (("demo", "--format", "csv"), 0),
-        (("--version",), 0),
-        (("series", "--p", "73%", "--distance", "2"), 2),
-        (("exact", "--p", "73", "--distance", "2"), 2),
+        (("calibrate", "--loss-level", "0.25"), 0, {"ruinlab.model"}),
+        ((*TRANSFORM, "--target-loss-factor", "-0.5", "--loss-level", "0.25"), 0,
+         {"ruinlab.model", "ruinlab.transform"}),
+        ((*TRANSFORM, "--target-loss-factor", "0.1"), 3,  # infeasible target
+         {"ruinlab.model", "ruinlab.transform"}),
+        (("demo", "--format", "csv"), 0, {"csv"}),
+        (("--version",), 0, set()),
+        (("series", "--p", "73%", "--distance", "2"), 2, set()),
+        (("exact", "--p", "73", "--distance", "2"), 2, set()),
+        (("calibrate", "--loss-level", "0.25", "--format", "csv"), 0, {"ruinlab.model", "csv"}),
+        (("demo",), 0, set()),
+        (("demo", "--format", "json"), 0, set()),
     ],
     ids=["calibrate", "transform", "transform-exit-3", "demo", "version",
-         "series-percent", "exact-out-of-range"],
+         "series-percent", "exact-out-of-range", "calibrate-csv", "demo-human", "demo-json"],
 )
-def test_commands_without_an_engine_start_without_numpy(argv, expected_exit):
-    exit_code, loaded = loaded_after_main(*argv)
+def test_commands_without_an_engine_start_without_numpy(argv, expected_exit, expected):
+    # each command loads only the ruinlab modules it calls, csv only for
+    # CSV output, and no dataclasses (nor the inspect it imports)
+    watched = (*WATCHED, "ruinlab.model", "ruinlab.transform", "csv", "dataclasses", "inspect")
+    exit_code, loaded = loaded_after_main(*argv, watched=watched)
     assert exit_code == expected_exit
-    assert loaded == set()
+    assert loaded == expected
+
+
+@pytest.mark.parametrize("module", ENGINES)
+def test_engines_load_no_dataclasses(module):
+    # numpy imports inspect itself, so only dataclasses is pinned here
+    proc = fresh_python(f"import sys, {module}\nprint('dataclasses' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 @pytest.mark.parametrize(
@@ -136,7 +152,9 @@ def test_module_entry_points_run_the_cli_without_numpy(module):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == expected.stdout
     imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
-    assert "ruinlab.model" in imported  # the import log is there to read
+    # the import log is there to read (it omits importlib.import_module,
+    # which loads ruinlab.model here, but not the imports that module makes)
+    assert "ruinlab.errors" in imported
     assert "numpy" not in imported
 
 
@@ -146,8 +164,7 @@ def test_module_entry_points_run_the_cli_without_numpy(module):
         ("import ruinlab", []),
         ("import ruinlab\nruinlab.calibrate", ["ruinlab.errors", "ruinlab.model"]),
         # every command pays for this set before its handler runs
-        ("import ruinlab.cli",
-         ["ruinlab.cli", "ruinlab.errors", "ruinlab.model", "ruinlab.transform"]),
+        ("import ruinlab.cli", ["ruinlab.cli", "ruinlab.errors"]),
     ],
     ids=["package", "calibrate", "cli"],
 )
@@ -156,7 +173,8 @@ def test_imports_load_only_the_modules_they_use(code, loaded):
         f"{code}\n"
         "import json, sys\n"
         "print(json.dumps(sorted(m for m in sys.modules\n"
-        "                        if m.startswith('ruinlab.') or m == 'numpy')))\n"
+        "                        if m.startswith('ruinlab.')\n"
+        "                        or m in ('numpy', 'csv', 'dataclasses', 'inspect'))))\n"
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == loaded
