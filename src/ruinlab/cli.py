@@ -216,8 +216,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="Monte Carlo simulation of the ruin process",
     )
     p.add_argument("--p", type=_probability, required=True)
-    p.add_argument("--distance", type=_positive_int)
-    p.add_argument("--loss-level", type=_loss_level, help="alternative to --distance")
+    barrier = p.add_mutually_exclusive_group(required=True)
+    barrier.add_argument("--distance", type=_positive_int)
+    barrier.add_argument("--loss-level", type=_loss_level, help="alternative to --distance")
     p.add_argument("--loss-factor", type=_loss_factor, default=DEFAULT_LOSS_FACTOR)
     p.set_defaults(handler=_cmd_simulate)
 
@@ -320,8 +321,9 @@ def _cmd_series(args: argparse.Namespace) -> CommandOutput:
 
 
 def _cmd_exact(args: argparse.Namespace) -> CommandOutput:
-    absorption = _engines.ruin_probability_dp(
-        args.p, args.distance, args.horizon, keep_distribution=args.distribution
+    absorption = _engines.ruin_probability_dp(  # the human lines never print the step map
+        args.p, args.distance, args.horizon,
+        keep_distribution=args.distribution and args.format != "human",
     )
     mean = absorption.expected_time_censored
 
@@ -345,28 +347,17 @@ def _cmd_exact(args: argparse.Namespace) -> CommandOutput:
     ], table)
 
 
-def _resolve_sim_config(args: argparse.Namespace) -> SimConfig:
-    if args.loss_level is not None and args.distance is not None:
-        raise DomainError("give either --distance or --loss-level, not both")
-    # the manifest records the default loss factor, so a replayed manifest
-    # passes it back; any other value would be silently ignored
-    if args.loss_level is None and args.loss_factor != DEFAULT_LOSS_FACTOR:
-        raise DomainError(
-            "--loss-factor needs --loss-level: it only calibrates a loss level "
-            "to a distance"
-        )
-    distance = args.distance
+def _cmd_simulate(args: argparse.Namespace) -> CommandOutput:
+    distance = args.distance  # argparse takes exactly one of the two barrier flags
     if args.loss_level is not None:
         distance = _engines.calibrate(args.loss_level, args.loss_factor).distance
-    if distance is None:
-        raise DomainError("one of --distance or --loss-level is required")
-    return _engines.SimConfig(
-        args.p, distance, args.trials, args.max_steps, args.seed, args.workers
-    )
-
-
-def _cmd_simulate(args: argparse.Namespace) -> CommandOutput:
-    config = _resolve_sim_config(args)
+    elif args.loss_factor != DEFAULT_LOSS_FACTOR:
+        # the manifest records the default, so a replayed manifest passes it
+        # back; any other value would be silently ignored
+        raise DomainError("--loss-factor needs --loss-level: it only calibrates a loss level "
+                          "to a distance")
+    config = _engines.SimConfig(args.p, distance, args.trials, args.max_steps, args.seed,
+                                args.workers)
     result = _engines.simulate(config, progress=_progress_printer("simulate"))
     mean = result.mean_time_to_ruin
     return CommandOutput(lambda: _jsonable(result), lambda: [

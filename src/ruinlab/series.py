@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from itertools import accumulate
-from typing import Literal, NamedTuple
+from typing import Iterator, Literal, NamedTuple
 
 from .errors import DomainError, ValidityError
 from .oracle import check_horizon, check_walk, first_passage_masses
@@ -171,15 +171,14 @@ def paper_final_form(p: float, d: int) -> float:
     return (q * p) ** d
 
 
-def _exact_counts(d: int, max_gains: int) -> list[int]:
+def _exact_counts(d: int, max_gains: int) -> Iterator[int]:
     """``exact_coefficient(d, N)`` for ``N = 0 .. max_gains``, each from the
     last by ``c(N+1) / c(N) = (d+2N)(d+2N+1) / ((N+1)(d+N+1))``."""
-    counts, count = [], 1
+    count = 1
     for n in range(max_gains + 1):
-        counts.append(count)
+        yield count
         length = d + 2 * n
         count = count * length * (length + 1) // ((n + 1) * (d + n + 1))
-    return counts
 
 
 def _paper_counts(d: int, max_gains: int) -> list[int]:

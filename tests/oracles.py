@@ -222,6 +222,22 @@ def first_passage_masses_reference(p: float, d: int, horizon: int) -> list[float
     return masses[d - 1 :]
 
 
+def survival_at_half_by_reflection(d: int, horizon: int) -> Fraction:
+    """Exact probability that the fair walk (p = 1/2) has not hit -d within
+    ``horizon`` steps, from the reflection principle alone.
+
+    The walk survives exactly when its net loss after the horizon lies in
+    ``[-d, d - 1]``: ``d`` gain counts ``k``, each of probability
+    ``C(horizon, k) / 2**horizon``.  The binomials step from the first by
+    ``C(H, k+1) = C(H, k) * (H - k) / (k + 1)``, exactly in integers."""
+    k = (horizon - d + 2) // 2  # fewest gains that keep the net loss below d
+    total = term = math.comb(horizon, k)
+    for k in range(k, k + d - 1):
+        term = term * (horizon - k) // (k + 1)
+        total += term
+    return Fraction(total, 2**horizon)
+
+
 # The surviving mass of a +/-1 walk spreads like sqrt(t); tracking this
 # many standard deviations above the start keeps truncation leakage far
 # below double-precision noise while the state stays O(sqrt(horizon)).

@@ -143,6 +143,26 @@ def test_exact_distribution_csv(capsys):
     assert lines[2].startswith("2,0.25")
 
 
+@pytest.mark.parametrize("fmt, kept", [("human", False), ("json", True), ("csv", True)])
+def test_exact_distribution_builds_the_step_map_only_for_formats_that_print_it(
+    capsys, monkeypatch, fmt, kept
+):
+    # the human lines never print the map, so building it there is waste
+    from ruinlab import cli
+
+    real, calls = cli.ruin_probability_dp, []
+
+    def spy(*args, keep_distribution=False):
+        calls.append(keep_distribution)
+        return real(*args, keep_distribution=keep_distribution)
+
+    monkeypatch.setattr(cli, "ruin_probability_dp", spy)
+    code, _, _ = run_cli(capsys, "exact", "--p", "0.5", "--distance", "2", "--horizon", "6",
+                         "--distribution", "--format", fmt)
+    assert code == 0
+    assert calls == [kept]
+
+
 @pytest.mark.parametrize("p", ["0", "0.3", "1"])
 def test_exact_horizon_of_exactly_the_distance(capsys, p):
     payload = run_json(
@@ -174,11 +194,16 @@ def test_simulate_requires_seed(capsys):
     assert "--seed" in err
 
 
+_NO_BARRIER = "ruinlab simulate: error: one of the arguments --distance --loss-level is required"
+
+
 def test_simulate_requires_a_barrier(capsys):
+    # argparse's required group: a usage block, then the message naming both flags
     code, out, err = run_cli(capsys, "simulate", "--p", "0.5", "--seed", "1")
     assert code == 2
     assert out == ""
-    assert err == "error: one of --distance or --loss-level is required\n"
+    assert err.startswith("usage: ruinlab simulate")
+    assert err.splitlines()[-1] == _NO_BARRIER
 
 
 def test_simulate_loss_level_route(capsys):
@@ -195,20 +220,26 @@ def test_simulate_rejects_conflicting_barrier_flags(capsys):
         "--loss-level", "0.25", "--seed", "1",
     )
     assert code == 2
-    assert "not both" in err
+    assert err.splitlines()[-1] == (
+        "ruinlab simulate: error: argument --loss-level: not allowed with argument --distance"
+    )
 
 
 @pytest.mark.parametrize("barrier", [("--distance", "3"), ()])
 def test_simulate_loss_factor_without_loss_level_is_an_error(capsys, barrier):
     # the loss factor only calibrates a loss level; with --distance it used
-    # to be ignored while the manifest recorded it
+    # to be ignored while the manifest recorded it.  With no barrier at all,
+    # argparse names the missing flags first
     code, out, err = run_cli(
         capsys, "simulate", "--p", "0.5", *barrier, "--loss-factor", "-0.25",
         "--seed", "1", "--trials", "10", "--max-steps", "10",
     )
     assert code == 2
     assert out == ""
-    assert err.startswith("error: --loss-factor needs --loss-level")
+    if barrier:
+        assert err.startswith("error: --loss-factor needs --loss-level")
+    else:
+        assert err.splitlines()[-1] == _NO_BARRIER
 
 
 def test_closed_stdout_exits_141_without_a_traceback():

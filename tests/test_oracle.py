@@ -20,6 +20,7 @@ from oracles import (
     ruin_by_step_dp,
     ruin_probability_by_enumeration,
     ruin_time_distribution_by_enumeration,
+    survival_at_half_by_reflection,
 )
 
 
@@ -155,6 +156,18 @@ def test_ruin_time_distribution_below_one_is_the_raw_masses():
 def test_kernel_is_bit_identical_to_the_plain_float_reference(p, d, horizon):
     # the reference a kernel without numpy must reproduce bit for bit
     assert first_passage_masses(p, d, horizon) == first_passage_masses_reference(p, d, horizon)
+
+
+@pytest.mark.parametrize("horizon", [8, 9, 1001, 10_000, 100_000])
+@pytest.mark.parametrize("d", [1, 3, 8])
+def test_survival_at_one_half_matches_the_reflection_sum(d, horizon):
+    # an exact reference that shares no code with the kernel: binomial
+    # terms in integers, compared as rationals
+    exact = survival_at_half_by_reflection(d, horizon)
+    survival = ruin_probability_dp(0.5, d, horizon).survival_mass
+    assert abs(Fraction(survival) - exact) <= exact * Fraction(1, 10**12)
+
+
 @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 0.7, 1.0])
 @pytest.mark.parametrize("d", [1, 2, 7, 50, 300])
 def test_horizon_of_exactly_d_is_the_straight_loss_run(p, d):
