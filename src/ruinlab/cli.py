@@ -1,10 +1,9 @@
 """Command-line surface: calibration, series, oracles, simulation, transform.
 
-Every command supports ``--format human|json|csv`` (default from the
-``RUINLAB_FORMAT`` environment variable, else ``human``).  JSON goes to
-stdout with the run manifest embedded; progress and log lines go to
-stderr.  Exit codes: 0 success, 2 input-domain errors (a bad
-``RUINLAB_FORMAT`` among them) and inputs too large for memory, 3
+Every command supports ``--format human|json|csv`` (default ``human``);
+no environment variable changes the output.  JSON goes to stdout with the
+run manifest embedded; progress and log lines go to stderr.  Exit codes:
+0 success, 2 input-domain errors and inputs too large for memory, 3
 validity errors (approximation outside its region, infeasible transform
 targets), 141 (128 + SIGPIPE) when the reader closes stdout before the
 output is written, as in ``ruinlab exact ... | head``.
@@ -29,7 +28,6 @@ from .errors import DomainError, RuinlabError, ValidityError
 _engines = sys.modules[__name__]
 
 FORMATS = ("human", "json", "csv")
-FORMAT_ENV_VAR = "RUINLAB_FORMAT"
 
 DEFAULT_MAX_GAINS = 200
 DEFAULT_HORIZON = 100_000
@@ -57,12 +55,8 @@ def entry_point() -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.format not in FORMATS:  # argparse checks --format, not its default
-            parser.error(f"${FORMAT_ENV_VAR} must be one of {', '.join(FORMATS)}, "
-                         f"got {args.format!r}")
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse prints its own message
         return int(exc.code) if exc.code else 0
     try:  # the renderers run in _emit, so its failures map alike
@@ -163,8 +157,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--format",
         choices=FORMATS,
-        default=os.environ.get(FORMAT_ENV_VAR, "human"),
-        help=f"output format (default from ${FORMAT_ENV_VAR}, else human)",
+        default="human",
+        help="output format (default: human)",
     )
     walk = _Parser(add_help=False)  # series, exact, compare
     walk.add_argument("--p", type=_probability, required=True, help="per-trial gain probability")

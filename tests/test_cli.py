@@ -27,6 +27,12 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_cli_process(*argv):
+    proc = subprocess.run([*CLI, *argv], capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=SRC))
+    return proc.returncode, proc.stdout, proc.stderr
+
+
 def run_json(capsys, *argv):
     code, out, _ = run_cli(capsys, *argv, "--format", "json")
     assert code == 0, out
@@ -487,9 +493,8 @@ _PARSER_SURFACE = [
 ]
 
 
-def test_parser_surface_is_pinned(monkeypatch):
+def test_parser_surface_is_pinned():
     # help text and the order of flags may change; what each flag parses to may not
-    monkeypatch.delenv("RUINLAB_FORMAT", raising=False)
     from ruinlab import cli
     type_names = {id(value): name for name, value in vars(cli).items() if callable(value)}
     commands = next(a for a in _build_parser()._actions
@@ -655,7 +660,7 @@ def test_domain_error_exit_code(capsys):
     "argv",
     [
         ("exact", "--p", "0.5", "--distance", "3", "--horizon", str(10**16)),
-        ("series", "--p", "0.5", "--distance", "1", "--max-gains", str(10**16)),
+        ("series", "--p", "0.5", "--distance", str(10**16), "--max-gains", "0"),
     ],
     ids=["exact", "series"],
 )
@@ -663,12 +668,15 @@ def test_input_too_large_for_memory_exits_2(argv):
     # each asks for 35-71 PiB at once, which no allocator grants; exact
     # used to exit 1 with a traceback and series to spin in its path
     # counts, so a subprocess with a timeout keeps a relapse from hanging
-    proc = subprocess.run([*CLI, *argv], capture_output=True, text=True, timeout=60,
-                          env=dict(os.environ, PYTHONPATH=SRC))
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("error: not enough memory for this input: ")
-    assert "Traceback" not in proc.stderr
+    code, out, err = run_cli_process(*argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: not enough memory for this input: ")
+    assert "Traceback" not in err
+
+
+_SERIES_DIGITS_MESSAGE = ("max_gains=50000 at distance 3 needs up to 1,505,145,331 decimal "
+                          "digits of path counts, past the limit of 65,000,000; lower max_gains")
 
 
 @pytest.mark.parametrize(
@@ -703,16 +711,23 @@ def test_input_too_large_for_memory_exits_2(argv):
         (("compare", "--p", "0.5", "--distance", str(2**60), "--max-steps", str(2**60),
           "--horizon", str(2**59), "--seed", "1"),
          f"distance must be <= 2**59, got {2**60}"),
+        # within the kernel bound, but the path counts would fill 1.5e9 digits
+        (("series", "--p", "0.5", "--distance", "3", "--max-gains", "50000"),
+         _SERIES_DIGITS_MESSAGE),
+        (("compare", "--p", "0.5", "--distance", "3", "--max-gains", "50000", "--seed", "1"),
+         _SERIES_DIGITS_MESSAGE),
     ],
     ids=["exact-horizon", "exact-distance", "exact-distance-lower-horizon",
          "series-max-gains", "series-distance", "compare-max-gains", "compare-max-steps",
-         "compare-horizon", "compare-distance", "compare-distance-lower-horizon"],
+         "compare-horizon", "compare-distance", "compare-distance-lower-horizon",
+         "series-digits", "compare-digits"],
 )
-def test_inputs_past_the_kernel_bound_name_their_flag(capsys, argv, message):
+def test_inputs_past_the_kernel_bound_name_their_flag(argv, message):
     # numpy refused these arrays with "Maximum allowed size/dimension
     # exceeded", and compare only after its whole simulation; the one
-    # stderr line also shows that compare ran no batch
-    code, out, err = run_cli(capsys, *argv)
+    # stderr line also shows that compare ran no batch.  A subprocess with
+    # a timeout keeps a relapse into building the input from hanging
+    code, out, err = run_cli_process(*argv)
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
@@ -815,30 +830,15 @@ def test_json_encoder_contract():
     assert _jsonable(None) is None
 
 
-def test_format_env_var_default(capsys, monkeypatch):
-    monkeypatch.setenv("RUINLAB_FORMAT", "json")
-    code, out, _ = run_cli(capsys, "calibrate", "--loss-level", "0.25")
-    assert code == 0
-    assert json.loads(out)["result"]["distance"] == 2
-    monkeypatch.setenv("RUINLAB_FORMAT", "csv")
-    code, out, _ = run_cli(capsys, "calibrate", "--loss-level", "0.25")
-    assert code == 0
-    assert out.splitlines()[1].startswith("loss_level,")
-
-
-@pytest.mark.parametrize("value", ["JSON", "xml", pytest.param("", id="empty")])
-def test_bad_format_env_var_is_an_error(capsys, monkeypatch, value):
-    # argparse checks --format against its choices but not its default
+@pytest.mark.parametrize("value", ["json", pytest.param("", id="empty")])
+def test_environment_does_not_pick_the_format(capsys, monkeypatch, value):
+    # --format alone picks the output, whatever the environment holds
     monkeypatch.setenv("RUINLAB_FORMAT", value)
-    code, out, err = run_cli(capsys, "calibrate", "--loss-level", "0.25")
-    assert code == 2
-    assert out == ""
-    assert err.endswith(
-        f"error: $RUINLAB_FORMAT must be one of human, json, csv, got {value!r}\n"
-    )
-    code, out, _ = run_cli(capsys, "calibrate", "--loss-level", "0.25", "--format", "json")
+    code, out, _ = run_cli(capsys, "calibrate", "--loss-level", "0.25")
     assert code == 0
-    assert json.loads(out)["result"]["distance"] == 2
+    assert out.startswith("loss level          0.25\n")
+    monkeypatch.delenv("RUINLAB_FORMAT")
+    assert run_cli(capsys, "calibrate", "--loss-level", "0.25")[:2] == (0, out)
 
 
 def test_csv_uses_header_and_dot_decimals(capsys):

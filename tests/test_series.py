@@ -18,6 +18,7 @@ from ruinlab import (
     ruin_series,
 )
 from ruinlab.cli import _jsonable
+from ruinlab.series import MAX_SERIES_DIGITS, _count_digits_bound
 
 from oracles import (
     GAIN,
@@ -249,6 +250,26 @@ def test_series_input_validation():
         ruin_series(0.5, 2, -1)
     with pytest.raises(DomainError):
         ruin_series(0.5, 2, 10, "banana")
+
+
+@pytest.mark.parametrize("d, max_gains", [(1, 300), (3, 300), (8, 300), (1000, 300),
+                                           (2**59, 100)])  # lgamma cancels at 2**59
+@pytest.mark.parametrize("count", [exact_coefficient, paper_coefficient])
+def test_count_digits_bound_covers_every_count(count, d, max_gains):
+    digits = 0
+    for n in range(max_gains + 1):
+        digits += len(str(count(d, n)))
+        if n >= 1:
+            assert _count_digits_bound(d, n) >= digits, n
+
+
+def test_oversized_series_fails_before_building_counts():
+    # 50 000 gains would build 360 MB of counts before any output
+    with pytest.raises(DomainError, match="max_gains"):
+        ruin_series(0.5, 3, 50_000)
+    # the admitted edges the docstring states
+    for d, edge in ((3, 10390), (10**6, 4860)):
+        assert _count_digits_bound(d, edge) <= MAX_SERIES_DIGITS < _count_digits_bound(d, edge + 1)
 
 
 # ----------------------------------------------------------------------

@@ -25,7 +25,6 @@ def fresh_python(code: str) -> subprocess.CompletedProcess:
 def run_python(*args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
-    env.pop("RUINLAB_FORMAT", None)
     flags = ["-O"] if sys.flags.optimize else []
     return subprocess.run(
         [sys.executable, *flags, *args],
