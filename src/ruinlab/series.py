@@ -11,9 +11,9 @@ number of such paths are provided side by side:
   gain/loss sequences whose net loss reaches ``d`` for the first time on
   the final step.
 
-Each term carries its count as an exact integer; all counts are built in
-one pass from the ratio of consecutive binomials.  Both modes take their
-term probabilities from :func:`ruinlab.oracle.first_passage_masses`.
+Each term of :func:`ruin_series` carries its count as an exact integer;
+:func:`term_probabilities` needs none: paper mode scales the kernel's
+masses (:func:`ruinlab.oracle.first_passage_masses`) by a count ratio.
 """
 from __future__ import annotations
 
@@ -90,6 +90,22 @@ class SeriesReport(NamedTuple):
     terms: tuple[SeriesTerm, ...]
 
 
+def term_probabilities(
+    p: float, d: int, max_gains: int, mode: CoefficientMode = "exact"
+) -> tuple[list[float], list[float]]:
+    """Terms for ``N = 0 .. max_gains`` and their running sums, with no path
+    count: paper mode scales each first-passage mass by the count ratio.  Only
+    exact mode's sums, of disjoint events, are clamped to 1.  ``accumulate``,
+    as the built-in ``sum`` of floats is compensated from Python 3.12."""
+    _check_series_args(p, d, max_gains, mode)
+    # the kernel first: an input too large for memory fails at once
+    probabilities = first_passage_masses(p, d, d + 2 * max_gains)
+    if mode == "exact":
+        return probabilities, [min(total, 1.0) for total in accumulate(probabilities)]
+    probabilities = [m * r for m, r in zip(probabilities, _paper_ratios(d, max_gains))]
+    return probabilities, list(accumulate(probabilities))
+
+
 def ruin_series(
     p: float,
     d: int,
@@ -100,40 +116,24 @@ def ruin_series(
 
     In ``exact`` mode the cumulative sum at ``N`` is exactly the
     probability of ruin within ``d + 2N`` trials, clamped to 1 as the
-    horizon oracle's is.
+    horizon oracle's is.  The terms come from :func:`term_probabilities`.
 
-    The path counts are exact integers, so their size, not the walk, sets
-    the cost.  Before any is built, ``(N + 1) * (log10 C(d+2N, N) + 1)``
-    bounds their total decimal digits (in either mode no count exceeds
-    ``C(d+2N, N)``); past :data:`MAX_SERIES_DIGITS` a :class:`DomainError`
-    names ``max_gains``.  That admits 10390 gains at ``d = 3`` and 4860 at
-    ``d = 10**6``.
+    The path counts, of ``mode`` only, are exact integers, so their size,
+    not the walk, sets the cost.  Before the kernel runs,
+    ``(N + 1) * (log10 C(d+2N, N) + 1)`` bounds their total decimal digits
+    (no count exceeds ``C(d+2N, N)``); past :data:`MAX_SERIES_DIGITS` a
+    :class:`DomainError` names ``max_gains``.  That admits 10390 gains at
+    ``d = 3`` and 4860 at ``d = 10**6``.
     """
-    check_walk(p, d)
-    if max_gains < 0:
-        raise DomainError(f"max_gains must be >= 0, got {max_gains}")
-    check_horizon(d + 2 * max_gains, "distance + 2 * max_gains")
-    if mode not in ("paper", "exact"):
-        raise DomainError(f"mode must be 'paper' or 'exact', got {mode!r}")
+    _check_series_args(p, d, max_gains, mode)
     digits = _count_digits_bound(d, max_gains)
     if digits > MAX_SERIES_DIGITS:
         raise DomainError(
             f"max_gains={max_gains} at distance {d} needs up to {digits:,.0f} decimal digits "
             f"of path counts, past the limit of {MAX_SERIES_DIGITS:,}; lower max_gains"
         )
-
-    q = 1.0 - p
-    # the kernel first: an input too large for memory fails at once
-    probabilities = first_passage_masses(p, d, d + 2 * max_gains)
-    counts = _exact_counts(d, max_gains)
-    limit = 1.0  # the masses of disjoint events: rounding must not carry their sum past 1
-    if mode == "paper":
-        # both rules give each path q**(d+N) * p**N: scale each mass by the
-        # count ratio, whose int true division is correctly rounded
-        paper = _paper_counts(d, max_gains)
-        probabilities = [m * (c / e) for m, c, e in zip(probabilities, paper, counts)]
-        counts, limit = paper, math.inf  # overcounts: the sums show it
-    cumulative = (min(total, limit) for total in accumulate(probabilities))
+    probabilities, cumulative = term_probabilities(p, d, max_gains, mode)
+    counts = (_exact_counts if mode == "exact" else _paper_counts)(d, max_gains)
     terms = [SeriesTerm(n, *term) for n, term in enumerate(zip(counts, probabilities, cumulative))]
     return SeriesReport(
         p_gain=p,
@@ -141,7 +141,7 @@ def ruin_series(
         coefficient_mode=mode,
         truncation=max_gains,
         cumulative=terms[-1].cumulative,
-        tail_bound=_geometric_tail_bound(terms, p, q),
+        tail_bound=_geometric_tail_bound(terms, p, 1.0 - p),
         terms=tuple(terms),
     )
 
@@ -209,19 +209,41 @@ def _exact_counts(d: int, max_gains: int) -> Iterator[int]:
         count = count * length * (length + 1) // ((n + 1) * (d + n + 1))
 
 
-def _paper_counts(d: int, max_gains: int) -> list[int]:
+def _paper_counts(d: int, max_gains: int) -> Iterator[int]:
     """``paper_coefficient(d, N)`` for ``N = 0 .. max_gains``: the runs of
     ``C(d+2N-2, N)`` and, from ``N = 2``, ``C(2N-2, N)``, each term from the
     last by the ratio of consecutive binomials."""
-    counts, head, tail = [], 1, 1
+    head, tail = 1, 1
     for n in range(max_gains + 1):
-        counts.append(head - tail if n >= 2 else head)
+        yield head - tail if n >= 2 else head
         top = d + 2 * n
         # C(-1, 0) = 1 is followed by C(1, 1) = 1 at d = 1
         head = 1 if top == 1 else head * (top - 1) * top // ((n + 1) * (d + n - 1))
         if n >= 2:
             tail = tail * (2 * n - 1) * (2 * n) // ((n + 1) * (n - 1))
-    return counts
+
+
+def _paper_ratios(d: int, max_gains: int) -> Iterator[float]:
+    """``paper_coefficient(d, N) / exact_coefficient(d, N)`` in floats: 1 for
+    ``N < 2``, then ``C(d+2N-2, N) / E_N = (d+N)(d+N-1) / (d(d+2N-1))`` less
+    ``t_N = C(2N-2, N) / E_N``, from ``t_2 = 2 / (d(d+3))`` by ``t_{N+1} / t_N =
+    2N(2N-1)(d+N+1) / ((N-1)(d+2N+1)(d+2N))``.  ``t_N >= 2**-d / 6`` underflows
+    only past d = 1000, far below an ulp of the ratio (>= 1)."""
+    yield from (1.0, 1.0)[: max_gains + 1]
+    t = 2 / (d * (d + 3))
+    for n in range(2, max_gains + 1):
+        length = d + 2 * n
+        yield (d + n) * (d + n - 1) / (d * (length - 1)) - t
+        t *= 2 * n * (2 * n - 1) * (d + n + 1) / ((n - 1) * (length + 1) * length)
+
+
+def _check_series_args(p: float, d: int, max_gains: int, mode: str) -> None:
+    check_walk(p, d)
+    if max_gains < 0:
+        raise DomainError(f"max_gains must be >= 0, got {max_gains}")
+    check_horizon(d + 2 * max_gains, "distance + 2 * max_gains")
+    if mode not in ("paper", "exact"):
+        raise DomainError(f"mode must be 'paper' or 'exact', got {mode!r}")
 
 
 def _check_coefficient_args(d: int, n_gains: int) -> None:

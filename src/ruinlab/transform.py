@@ -12,8 +12,8 @@ with the probabilities summing to one,
 
 Rebalancing dilates the per-trial moves, so downstream ruin analysis must
 recalibrate the distance against the target loss leg; warning flags mark
-the regimes where the transformed problem reads very differently from the
-original (adjusted gain probability below one half, small distances).
+where the transformed problem reads very differently from the original
+(gain probability below one half, small distances, uncancelled log legs).
 """
 from __future__ import annotations
 
@@ -25,6 +25,8 @@ from .model import TrialModel, calibrate
 
 WARN_GAIN_BELOW_HALF = "adjusted_gain_below_half"
 WARN_SMALL_DISTANCE = "small_distance"
+WARN_LOG_ASYMMETRIC_LEGS = "log_asymmetric_legs"
+_LOG_SYMMETRY_TOLERANCE = 1e-9  # relative to |log(1 + target_loss_factor)|
 
 _SMALL_DISTANCE = 5
 
@@ -47,8 +49,9 @@ class TransformResult(NamedTuple):
 
 
 class RebalancedRuinInputs(NamedTuple):
-    """Adjusted gain probability packaged with the recalibrated distance,
-    ready for the series, DP, or Monte Carlo engines."""
+    """Adjusted gain probability packaged with the recalibrated distance.
+    The +/-1 engines (series, DP, Monte Carlo) walk exactly this problem
+    only when the target legs cancel, ``(1+g)(1+l) = 1``."""
 
     p_gain: float
     distance: int
@@ -116,7 +119,8 @@ def rebalanced_ruin_inputs(
     target loss leg.  Flags ``adjusted_gain_below_half`` when the rebalanced
     per-wager gain chance drops under 50% and ``small_distance`` when the
     integer distance lands below 5; both are interpretation hazards of the
-    amplified per-trial moves, not errors.
+    amplified per-trial moves, not errors.  ``log_asymmetric_legs`` flags
+    target legs with ``(1+g)(1+l) != 1``: the +/-1 engines answer another walk.
     """
     try:
         spec = calibrate(loss_level, result.target_loss_factor)
@@ -124,9 +128,13 @@ def rebalanced_ruin_inputs(
         # calibrate names its own argument; here that factor is the target leg
         raise DomainError(str(exc).replace("loss_factor", "target_loss_factor")) from None
     small = (WARN_SMALL_DISTANCE,) if spec.distance < _SMALL_DISTANCE else ()
+    # logs as calibrate takes them, of the float factors the bankroll multiplies by
+    log_loss = math.log(1.0 + spec.loss_factor)
+    gap = abs(math.log(1.0 + result.target_gain_factor) + log_loss)
+    asymmetric = (WARN_LOG_ASYMMETRIC_LEGS,) if gap > _LOG_SYMMETRY_TOLERANCE * abs(log_loss) else ()
     return RebalancedRuinInputs(
         p_gain=result.p_gain_adjusted,
         distance=spec.distance,
         distance_exact=spec.distance_exact,
-        warnings=result.warnings + small,
+        warnings=result.warnings + small + asymmetric,
     )

@@ -85,6 +85,18 @@ def series_cumulative_by_rational_sum(
     return total
 
 
+def paper_ratio_by_fractions(d: int, n_gains: int) -> Fraction:
+    """Paper count over exact count for the term with ``n_gains`` gains, as
+    an exact fraction of the two counts from their binomial definitions:
+    ``C(d+2N-2, N)``, less ``C(2N-2, N)`` from ``N = 2``, over the
+    first-passage count ``d * C(d+2N, N) / (d+2N)``."""
+    length = d + 2 * n_gains
+    paper = math.comb(max(length - 2, 0), n_gains)
+    if n_gains >= 2:
+        paper -= math.comb(2 * n_gains - 2, n_gains)
+    return Fraction(paper * length, d * math.comb(length, n_gains))
+
+
 def bridge_first_passage_by_enumeration(m: int, k: int, g: int) -> dict[int, Fraction]:
     """Exact law of the first step at which a block of ``m`` steps with
     exactly ``k`` losses, every arrangement equally likely, brings its net

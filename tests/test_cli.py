@@ -403,7 +403,8 @@ def test_transform_with_loss_level(capsys):
     )
     rebalanced = payload["result"]["rebalanced"]
     assert rebalanced["distance"] == 5
-    assert rebalanced["warnings"] == ["adjusted_gain_below_half"]
+    # (1 + 0.75)(1 - 0.25) != 1: a gain undoes 1.95 losses, not one
+    assert rebalanced["warnings"] == ["adjusted_gain_below_half", "log_asymmetric_legs"]
 
 
 def test_transform_infeasible_exit_code(capsys):
@@ -714,13 +715,11 @@ _SERIES_DIGITS_MESSAGE = ("max_gains=50000 at distance 3 needs up to 1,505,145,3
         # within the kernel bound, but the path counts would fill 1.5e9 digits
         (("series", "--p", "0.5", "--distance", "3", "--max-gains", "50000"),
          _SERIES_DIGITS_MESSAGE),
-        (("compare", "--p", "0.5", "--distance", "3", "--max-gains", "50000", "--seed", "1"),
-         _SERIES_DIGITS_MESSAGE),
     ],
     ids=["exact-horizon", "exact-distance", "exact-distance-lower-horizon",
          "series-max-gains", "series-distance", "compare-max-gains", "compare-max-steps",
          "compare-horizon", "compare-distance", "compare-distance-lower-horizon",
-         "series-digits", "compare-digits"],
+         "series-digits"],
 )
 def test_inputs_past_the_kernel_bound_name_their_flag(argv, message):
     # numpy refused these arrays with "Maximum allowed size/dimension
@@ -731,6 +730,18 @@ def test_inputs_past_the_kernel_bound_name_their_flag(argv, message):
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+def test_compare_past_the_series_digit_cap_answers():
+    # compare prints no path count, so the digit cap of series, which
+    # 50 000 gains at d = 3 pass, does not refuse it
+    code, out, err = run_cli_process(
+        "compare", "--p", "0.5", "--distance", "3", "--max-gains", "50000", "--trials", "1000",
+        "--max-steps", "1000", "--seed", "1", "--format", "json")
+    assert code == 0, err
+    rows = {row["method"]: row for row in json.loads(out)["result"]["ruin_estimates"]}
+    exact = ruin_probability_dp(0.5, 3, 100_003).ruin_probability_within_horizon
+    assert rows["series_exact"]["value"] == pytest.approx(exact, abs=1e-10)
 
 
 @pytest.mark.parametrize(

@@ -20,9 +20,10 @@ from ruinlab import (
     calibrate,
     compare_methods,
     ruin_probability_dp,
+    ruin_series,
     simulate,
 )
-from ruinlab import montecarlo
+from ruinlab import montecarlo, series
 from ruinlab.cli import _jsonable
 from ruinlab.montecarlo import (
     _BRIDGE_MAX,
@@ -584,6 +585,31 @@ def test_compare_methods_without_ruin_mass_gives_no_time_deviation():
     paper = time_rows["paper_estimator"]
     assert paper.valid and math.isfinite(paper.value)
     assert paper.abs_dev_from_dp is None
+
+
+@pytest.mark.parametrize("p, d, max_gains", [(0.5, 3, 2400), (0.6, 1, 1000), (0.45, 8, 600),
+                                              (0.3, 2, 0), (0.0, 4, 50), (1.0, 2, 50)])
+def test_compare_series_rows_equal_ruin_series(p, d, max_gains):
+    comparison = compare_methods(lattice_config(p, d, 100, 100, seed=4), max_gains=max_gains)
+    rows = {e.method: e.value for e in comparison.ruin_estimates}
+    for mode in ("exact", "paper"):
+        assert rows[f"series_{mode}"] == ruin_series(p, d, max_gains, mode).cumulative, mode
+
+
+def test_compare_builds_no_path_count(monkeypatch):
+    # compare prints no count, so it builds none and the digit cap of
+    # series, which 50 000 gains at d = 3 pass, does not bind it
+    def refuse(d, max_gains):
+        raise AssertionError("compare built path counts")
+
+    monkeypatch.setattr(series, "_exact_counts", refuse)
+    monkeypatch.setattr(series, "_paper_counts", refuse)
+    comparison = compare_methods(lattice_config(0.5, 3, 100, 100, seed=4), max_gains=50_000)
+    rows = {e.method: e for e in comparison.ruin_estimates}
+    exact = ruin_probability_dp(0.5, 3, 100_003).ruin_probability_within_horizon
+    assert rows["series_exact"].value == pytest.approx(exact, abs=1e-12)
+    assert rows["series_paper"].value > 1.0  # the overcount
+    assert not rows["series_paper"].valid
 
 
 def test_compare_methods_drifted_case_agrees():

@@ -17,14 +17,16 @@ from ruinlab import (
     ruin_probability_closed_form,
     ruin_series,
 )
+from ruinlab import series
 from ruinlab.cli import _jsonable
-from ruinlab.series import MAX_SERIES_DIGITS, _count_digits_bound
+from ruinlab.series import MAX_SERIES_DIGITS, _count_digits_bound, _paper_ratios
 
 from oracles import (
     GAIN,
     LOSS,
     enumerate_first_passage_paths,
     first_passage_count,
+    paper_ratio_by_fractions,
     series_cumulative_by_rational_sum,
 )
 
@@ -206,6 +208,28 @@ def test_paper_mode_terms_match_exact_rationals(p, d, max_gains):
         exact_term = float(paper_coefficient(d, n) * q ** (d + n) * p**n)
         if exact_term > 1e-300:
             assert term.probability == pytest.approx(exact_term, rel=1e-13, abs=0), n
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8, 1000, 10**6])
+def test_paper_ratio_recurrence_matches_fractions(d):
+    # the float recurrence against the exact quotient of the two counts:
+    # every N below 100, then every 19th up to 2000.  At d = 10**6 the
+    # correction t_N underflows to zero from N = 83 on, where it is far
+    # below an ulp of the ratio, so the ratio still matches
+    ratios = list(_paper_ratios(d, 2000))
+    assert len(ratios) == 2001
+    for n in (*range(100), *range(100, 2001, 19), 2000):
+        expected = float(paper_ratio_by_fractions(d, n))
+        assert ratios[n] == pytest.approx(expected, rel=1e-14, abs=0), n
+
+
+def test_paper_mode_builds_only_paper_counts(monkeypatch):
+    def refuse(d, max_gains):
+        raise AssertionError("paper mode built the exact counts")
+
+    monkeypatch.setattr(series, "_exact_counts", refuse)
+    report = ruin_series(0.5, 2, 60, "paper")
+    assert [t.path_count for t in report.terms] == [paper_coefficient(2, n) for n in range(61)]
 
 
 def test_series_ordering_and_gaplessness():

@@ -14,7 +14,7 @@ from ruinlab import (
     rebalanced_ruin_inputs,
 )
 from ruinlab.cli import _jsonable
-from ruinlab.transform import WARN_GAIN_BELOW_HALF, WARN_SMALL_DISTANCE
+from ruinlab.transform import WARN_GAIN_BELOW_HALF, WARN_LOG_ASYMMETRIC_LEGS, WARN_SMALL_DISTANCE
 
 
 def test_model_mean_examples():
@@ -163,4 +163,31 @@ def test_transform_serialization():
     assert payload["warnings"] == [WARN_GAIN_BELOW_HALF]
     json.dumps(payload)
     inputs = rebalanced_ruin_inputs(result, 0.25)
-    assert _jsonable(inputs)["warnings"] == [WARN_GAIN_BELOW_HALF]
+    assert _jsonable(inputs)["warnings"] == [WARN_GAIN_BELOW_HALF, WARN_LOG_ASYMMETRIC_LEGS]
+
+
+@pytest.mark.parametrize(
+    "model, target_gain, target_loss, loss_level",
+    [(TrialModel(0.5, 1.0, -0.5), 1.0, -0.5, 0.25),
+     (TrialModel(0.5, 0.25, -0.2), 0.25, -0.2, 0.5)],
+    ids=["double-halve", "quarter-fifth"],
+)
+def test_log_symmetric_target_legs_get_no_asymmetry_warning(model, target_gain, target_loss,
+                                                             loss_level):
+    # (1 + g)(1 + l) = 1: one gain undoes one loss, the walk the engines take
+    inputs = rebalanced_ruin_inputs(rebalance(model, target_gain, target_loss), loss_level)
+    assert WARN_LOG_ASYMMETRIC_LEGS not in inputs.warnings
+
+
+@pytest.mark.parametrize(
+    "model, target_gain, target_loss, loss_level",
+    [(TrialModel(0.5, 1.0, -0.5), 0.5, -0.5, 0.25),
+     (TrialModel(0.5, 1.0, -0.5), 0.6, -0.3, 0.25),
+     (TrialModel(0.55, 0.2, -0.2), 0.1, -0.3, 0.5),
+     (TrialModel(0.5, 0.75, -0.75), 0.75, -0.25, 0.25)],
+    ids=["half-half", "six-three", "one-three", "golden"],
+)
+def test_log_asymmetric_target_legs_are_flagged(model, target_gain, target_loss, loss_level):
+    # a gain undoes other than one loss, so the +/-1 engines answer another walk
+    inputs = rebalanced_ruin_inputs(rebalance(model, target_gain, target_loss), loss_level)
+    assert inputs.warnings[-1] == WARN_LOG_ASYMMETRIC_LEGS
