@@ -236,14 +236,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "compare",
         parents=[common, walk, run],
-        help="align series, approximations, closed form, DP, and Monte Carlo",
+        help="align series, approximations, closed forms and Monte Carlo with the DP, "
+             "all at --max-steps",
     )
     p.add_argument("--max-gains", type=_nonnegative_int, default=DEFAULT_MAX_GAINS)
-    p.add_argument(
-        "--horizon",
-        type=_positive_int,
-        help="DP reference horizon (default: --max-steps)",
-    )
     p.set_defaults(handler=_cmd_compare)
 
     p = sub.add_parser(
@@ -419,10 +415,7 @@ def _cmd_compare(args: argparse.Namespace) -> CommandOutput:
         args.p, args.distance, args.trials, args.max_steps, args.seed, args.workers
     )
     comparison = _engines.compare_methods(
-        config,
-        max_gains=args.max_gains,
-        dp_horizon=args.horizon,
-        progress=_progress_printer("compare"),
+        config, max_gains=args.max_gains, progress=_progress_printer("compare")
     )
     sections = (
         ("ruin_probability", "ruin probability:", comparison.ruin_estimates),

@@ -470,17 +470,17 @@ class MethodEstimate(NamedTuple):
 class MethodComparison(NamedTuple):
     """Aligned ruin-probability and expected-time estimates.
 
-    The DP at ``dp_horizon`` is the reference; every other row carries its
-    absolute deviation from it.  Approximations evaluated outside their
-    validity region, and ruin probabilities outside [0, 1], are flagged
-    invalid, not raised.
+    The ``dp`` and ``dp_censored_mean`` rows are the references: the DP at
+    ``dp_horizon``, the simulation's ``max_steps``, so the simulation and
+    its reference share one horizon.  Every other row carries its absolute
+    deviation from them.  Approximations evaluated outside their validity
+    region, and ruin probabilities outside [0, 1], are flagged invalid, not
+    raised.
     """
 
     p_gain: float
     distance: int
     dp_horizon: int
-    ruin_reference: float
-    time_reference: float
     ruin_estimates: tuple[MethodEstimate, ...]
     time_estimates: tuple[MethodEstimate, ...]
     simulation: SimResult
@@ -489,15 +489,15 @@ class MethodComparison(NamedTuple):
 def compare_methods(
     config: SimConfig,
     max_gains: int = 200,
-    dp_horizon: int | None = None,
     progress: ProgressCallback | None = None,
 ) -> MethodComparison:
-    """Line up every estimator of the (p, d) ruin problem in one table.  The
-    series rows come from :func:`term_probabilities`: no count, no digit cap."""
-    p, d = config.p, config.distance
-    horizon = dp_horizon if dp_horizon is not None else config.max_steps
-    if dp_horizon is None:  # the horizon is then max_steps: its bound names max_steps
-        check_horizon(horizon, "max_steps")
+    """Line up every estimator of the (p, d) ruin problem in one table, the
+    DP at the simulation's ``max_steps``.  The series rows come from
+    :func:`term_probabilities`: no count, no digit cap."""
+    p, d, horizon = config.p, config.distance, config.max_steps
+    # the kernel's bound names the flag at fault: the distance first
+    check_horizon(d, "distance")
+    check_horizon(horizon, "max_steps")
     reference = ruin_probability_dp(p, d, horizon)
     ruin_ref = reference.ruin_probability_within_horizon
     # before the simulation: an oversized series fails at once, not as a row
@@ -533,7 +533,8 @@ def compare_methods(
             0.0 if not math.isnan(time_ref) else None,
         ),
         _estimate("paper_estimator", lambda: expected_time_paper(p, d), time_ref),
-        _estimate("classical_drift", lambda: expected_time_classical(p, d), time_ref),
+        _estimate("classical_drift", lambda: expected_time_classical(p, d), time_ref,
+                  "mean given ruin"),
         _estimate("monte_carlo_censored_mean", lambda: sim.mean_time_to_ruin, time_ref,
                   f"over {sim.ruined} ruined trials"),
     ]
@@ -542,8 +543,6 @@ def compare_methods(
         p_gain=p,
         distance=d,
         dp_horizon=horizon,
-        ruin_reference=ruin_ref,
-        time_reference=time_ref,
         ruin_estimates=tuple(_as_probability(row) for row in ruin_rows),
         time_estimates=tuple(time_rows),
         simulation=sim,
@@ -568,12 +567,10 @@ def _estimate(
     except ValidityError as exc:
         return MethodEstimate(method, None, False, f"outside validity: {exc}", None)
     except DomainError:
-        value = math.nan
+        return MethodEstimate(method, None, False, "undefined here", None)
     if math.isnan(value):
         return MethodEstimate(method, None, False, note or "undefined here", None)
     if math.isinf(value):
-        return MethodEstimate(
-            method, None, True, "divergent: ruin not certain or mean infinite", None
-        )
+        return MethodEstimate(method, None, True, "divergent: mean infinite at p = 1/2", None)
     dev = None if math.isnan(reference) else abs(value - reference)
     return MethodEstimate(method, value, True, note, dev)

@@ -159,13 +159,16 @@ def expected_time_paper(p: float, d: int) -> float:
 
 
 def expected_time_classical(p: float, d: int) -> float:
-    """Classical drift formula ``d / (q - p)`` for the mean ruin time.
+    """Mean ruin time given ruin, ``d / |q - p|`` (Feller, Vol. I, XIV.3-4).
 
-    Finite only when the walk drifts toward the barrier (p < 1/2); returns
-    ``math.inf`` otherwise (absorption time divergent or ruin not certain).
-    Divergence is a value, not an error.
+    For p < 1/2 ruin is certain and this is the plain drift rule; for
+    p > 1/2 the walk conditioned on ruin is the walk with p and q swapped.
+    At p = 1/2 ruin is certain and the mean infinite: ``math.inf``, a value,
+    not an error.  At p = 1 nothing ruins: ``DomainError``.
     """
     check_walk(p, d)
-    if p >= 0.5:
+    if p == 1.0:
+        raise DomainError("mean given ruin undefined at p = 1 (ruin impossible)")
+    if p == 0.5:
         return math.inf
-    return d / (1.0 - 2.0 * p)
+    return d / (1.0 - 2.0 * p) if p < 0.5 else d / (2.0 * p - 1.0)

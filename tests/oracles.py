@@ -250,6 +250,21 @@ def survival_at_half_by_reflection(d: int, horizon: int) -> Fraction:
     return Fraction(total, 2**horizon)
 
 
+def ruin_time_moments_given_ruin(p: float, d: int) -> tuple[Fraction, Fraction]:
+    """Exact mean and variance of the ruin time T given ruin, for p != 1/2:
+    ``d / |p - q|`` and ``4 p q d / |p - q|**3``.
+
+    For p < 1/2, T is a sum of ``d`` independent passages one step down,
+    each of mean ``1 / (q - p)`` and variance ``4 p q / (q - p)**3``; for
+    p > 1/2 the walk conditioned on ruin is the walk with p and q swapped
+    (Feller, Vol. I, XIV.3-4).  ``p`` is taken as the exact rational value
+    of the float."""
+    p = Fraction(p)
+    q = 1 - p
+    drift = abs(q - p)
+    return d / drift, 4 * p * q * d / drift**3
+
+
 # The surviving mass of a +/-1 walk spreads like sqrt(t); tracking this
 # many standard deviations above the start keeps truncation leakage far
 # below double-precision noise while the state stays O(sqrt(horizon)).

@@ -275,7 +275,8 @@ def test_simulate_and_compare_at_distances_past_double_halvings(capsys, distance
     assert payload["result"]["censored"] == 100
     payload = run_json(capsys, "compare", *argv)
     assert payload["result"]["distance"] == distance
-    assert 0.0 < payload["result"]["ruin_reference"] < 1e-100
+    rows = {row["method"]: row for row in payload["result"]["ruin_estimates"]}
+    assert 0.0 < rows["dp"]["value"] < 1e-100
 
 
 def test_simulate_past_int64_names_the_horizon(capsys):
@@ -489,7 +490,6 @@ _PARSER_SURFACE = [
     ("compare", "--seed", "seed", "_seed", None, True),
     ("compare", "--workers", "workers", "_positive_int", None, False),
     ("compare", "--max-gains", "max_gains", "_nonnegative_int", 200, False),
-    ("compare", "--horizon", "horizon", "_positive_int", None, False),
     ("demo", "--format", "format", None, "human", False),
 ]
 
@@ -698,19 +698,13 @@ _SERIES_DIGITS_MESSAGE = ("max_gains=50000 at distance 3 needs up to 1,505,145,3
         (("compare", "--p", "0.5", "--distance", "3", "--max-gains", str(10**20),
           "--seed", "1"),
          f"distance + 2 * max_gains must be <= 2**59, got {3 + 2 * 10**20}"),
-        # the DP horizon defaults to --max-steps, which the simulation takes
-        # up to 2**62: the message names the flag that was given
+        # the DP runs to --max-steps, which the simulation takes up to 2**62:
+        # the message names the flag that was given, the distance first
         (("compare", "--p", "0.5", "--distance", "3", "--max-steps", str(2**60),
           "--seed", "1"),
          f"max_steps must be <= 2**59, got {2**60}"),
-        (("compare", "--p", "0.5", "--distance", "3", "--max-steps", str(2**60),
-          "--horizon", str(2**60), "--seed", "1"),
-         f"horizon must be <= 2**59, got {2**60}"),
         (("compare", "--p", "0.5", "--distance", str(2**60), "--max-steps", str(2**60),
-          "--horizon", str(2**60), "--seed", "1"),
-         f"distance must be <= 2**59, got {2**60}"),
-        (("compare", "--p", "0.5", "--distance", str(2**60), "--max-steps", str(2**60),
-          "--horizon", str(2**59), "--seed", "1"),
+          "--seed", "1"),
          f"distance must be <= 2**59, got {2**60}"),
         # within the kernel bound, but the path counts would fill 1.5e9 digits
         (("series", "--p", "0.5", "--distance", "3", "--max-gains", "50000"),
@@ -718,8 +712,7 @@ _SERIES_DIGITS_MESSAGE = ("max_gains=50000 at distance 3 needs up to 1,505,145,3
     ],
     ids=["exact-horizon", "exact-distance", "exact-distance-lower-horizon",
          "series-max-gains", "series-distance", "compare-max-gains", "compare-max-steps",
-         "compare-horizon", "compare-distance", "compare-distance-lower-horizon",
-         "series-digits"],
+         "compare-distance", "series-digits"],
 )
 def test_inputs_past_the_kernel_bound_name_their_flag(argv, message):
     # numpy refused these arrays with "Maximum allowed size/dimension
@@ -730,6 +723,26 @@ def test_inputs_past_the_kernel_bound_name_their_flag(argv, message):
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+def test_compare_has_no_horizon_flag(capsys):
+    # the DP and the simulation share --max-steps: no flag sets the DP apart
+    code, out, err = run_cli(capsys, "compare", "--p", "0.45", "--distance", "5",
+                             "--trials", "20000", "--max-steps", "60", "--horizon", "100000",
+                             "--seed", "1")
+    assert code == 2
+    assert out == ""
+    assert "--horizon" in err
+
+
+def test_compare_scores_the_simulation_at_its_own_horizon(capsys):
+    payload = run_json(capsys, "compare", "--p", "0.45", "--distance", "5",
+                       "--trials", "20000", "--max-steps", "60", "--seed", "1")
+    result = payload["result"]
+    assert result["dp_horizon"] == payload["manifest"]["parameters"]["max_steps"] == 60
+    rows = {row["method"]: row for row in result["ruin_estimates"]}
+    stderr = result["simulation"]["stderr"]
+    assert abs(rows["monte_carlo"]["value"] - rows["dp"]["value"]) <= 5 * stderr
 
 
 def test_compare_past_the_series_digit_cap_answers():

@@ -5,10 +5,11 @@ flag it was given (or, for a missing flag, the flag it needs).
 
 Caps keep each example to milliseconds and a few MB, on one worker:
 horizons, trials and simulated steps up to 2000, and at most 60 series
-gains.  ``compare`` without ``--horizon`` also takes ``--max-steps`` past
-the kernel's 2**59-step bound, where it must fail at once and name that
-flag.  A simulation's own ``--max-steps`` stays at 2000: near p = 1/2 a
-run of 2**62 steps takes seconds to minutes and hundreds of MB.
+gains.  ``compare`` runs its DP to ``--max-steps``, so it also takes
+``--max-steps`` past the kernel's 2**59-step bound, where it must fail at
+once and name that flag.  A simulation's own ``--max-steps`` stays at
+2000: near p = 1/2 a run of 2**62 steps takes seconds to minutes and
+hundreds of MB.
 """
 import argparse
 import contextlib
@@ -61,9 +62,9 @@ COMMANDS = {
                         {"loss-level": loss_levels})],
     "compare": [
         flags({"p": probabilities, "distance": distances, "max-gains": gains}),
-        # the DP horizon is --horizon, or --max-steps up to past the kernel's bound
-        flags({"horizon": horizons, "max-steps": horizons})
-        | flags({"max-steps": horizons | st.integers(2**59 + 1, 2**62)}),
+        # the DP and the simulation share --max-steps, drawn up to past the
+        # kernel's bound
+        flags({"max-steps": horizons | st.integers(2**59 + 1, 2**62)}),
         run,
     ],
     "demo": [],

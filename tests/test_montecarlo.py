@@ -19,6 +19,7 @@ from ruinlab import (
     TrialModel,
     calibrate,
     compare_methods,
+    expected_time_classical,
     ruin_probability_dp,
     ruin_series,
     simulate,
@@ -241,6 +242,16 @@ def test_censored_mean_matches_classical_drift():
     se = std / math.sqrt(result.ruined)
     assert abs(mean - 15.0) <= 3 * se
     assert result.mean_time_to_ruin == pytest.approx(mean)
+
+
+def test_censored_mean_matches_mean_given_ruin_above_half():
+    # p > 1/2: ruin is not certain, and given ruin T has mean d/(p - q) = 15
+    # and standard deviation sqrt(360) = 19; at 2000 steps the mass ruined
+    # later is negligible next to the standard error
+    result = simulate(lattice_config(0.6, 3, 200_000, 2000, seed=1106))
+    mean, std = time_stats(result.time_histogram)
+    se = std / math.sqrt(result.ruined)
+    assert abs(mean - expected_time_classical(0.6, 3)) <= 5 * se
 
 
 def test_block_skip_regime_still_exact():
@@ -557,6 +568,8 @@ def test_compare_methods_all_zero_when_gains_certain():
     for estimate in comparison.ruin_estimates:
         if estimate.valid and estimate.value is not None:
             assert estimate.value == pytest.approx(0.0, abs=1e-15), estimate.method
+    classical = {e.method: e for e in comparison.time_estimates}["classical_drift"]
+    assert (classical.value, classical.valid, classical.note) == (None, False, "undefined here")
 
 
 def test_compare_methods_fair_odds_rows():
@@ -568,7 +581,8 @@ def test_compare_methods_fair_odds_rows():
     assert rows["approx_arith_geometric"].value == pytest.approx(0.5)  # q*p*d = 0.5
     assert not rows["approx_simplified"].valid  # q*d = 1
     assert "outside validity" in rows["approx_simplified"].note
-    assert rows["dp"].value == comparison.ruin_reference
+    assert comparison.dp_horizon == 50_000
+    assert rows["dp"].value == ruin_probability_dp(0.5, 2, 50_000).ruin_probability_within_horizon
     time_rows = {e.method: e for e in comparison.time_estimates}
     assert time_rows["classical_drift"].value is None  # divergent at p = 1/2
     assert "divergent" in time_rows["classical_drift"].note
@@ -578,7 +592,6 @@ def test_compare_methods_without_ruin_mass_gives_no_time_deviation():
     # q**d underflows at p = 0.999, d = 400, so the DP holds no ruin mass and
     # its censored mean, the time reference, is undefined
     comparison = compare_methods(lattice_config(0.999, 400, 40, 400, seed=3), max_gains=4)
-    assert math.isnan(comparison.time_reference)
     time_rows = {e.method: e for e in comparison.time_estimates}
     assert time_rows["dp_censored_mean"].valid
     assert time_rows["dp_censored_mean"].value is None

@@ -20,6 +20,7 @@ from oracles import (
     ruin_by_step_dp,
     ruin_probability_by_enumeration,
     ruin_time_distribution_by_enumeration,
+    ruin_time_moments_given_ruin,
     survival_at_half_by_reflection,
 )
 
@@ -305,7 +306,38 @@ def test_expected_time_classical():
     assert expected_time_classical(0.0, 5) == pytest.approx(5.0)
     assert expected_time_classical(0.4, 3) == pytest.approx(15.0)
     assert math.isinf(expected_time_classical(0.5, 2))
-    assert math.isinf(expected_time_classical(0.9, 2))
+    # the mean given ruin: p > 1/2 mirrors p < 1/2
+    assert expected_time_classical(0.9, 2) == pytest.approx(2.5)
+    with pytest.raises(DomainError):
+        expected_time_classical(1.0, 2)  # nothing ruins
+
+
+@pytest.mark.parametrize("p", [0.55, 0.6, 0.7])
+def test_expected_time_classical_above_half_is_d_over_drift(p):
+    for d in (1, 3, 10):
+        assert expected_time_classical(p, d) == d / (2.0 * p - 1.0)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.1, 0.3, 0.4, 0.45, 0.49, 0.4999])
+def test_expected_time_classical_below_half_keeps_its_bits(p):
+    for d in (1, 3, 10, 1300):
+        assert expected_time_classical(p, d) == d / (1.0 - 2.0 * p)
+
+
+@pytest.mark.parametrize("p, d", [(0.6, 3), (0.4, 3), (0.7, 10), (0.45, 5), (0.3, 1),
+                                  (0.49, 4), (0.51, 4)])
+def test_kernel_moments_given_ruin_match_the_closed_forms(p, d):
+    # at H = 4e5 the mass left out is far below 1e-15 even at p = 0.49
+    horizon = 400_000
+    masses = first_passage_masses(p, d, horizon)
+    steps = range(d, horizon + 1, 2)
+    total = math.fsum(masses)
+    mean = math.fsum(s * m for s, m in zip(steps, masses)) / total
+    variance = math.fsum((s - mean) ** 2 * m for s, m in zip(steps, masses)) / total
+    exact_mean, exact_variance = ruin_time_moments_given_ruin(p, d)
+    assert mean == pytest.approx(float(exact_mean), rel=1e-9)
+    assert variance == pytest.approx(float(exact_variance), rel=1e-9)
+    assert expected_time_classical(p, d) == pytest.approx(float(exact_mean), rel=1e-15)
 
 
 def test_expected_time_censored_dp_matches_classical_drift():
