@@ -239,7 +239,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="align series, approximations, closed forms and Monte Carlo with the DP, "
              "all at --max-steps",
     )
-    p.add_argument("--max-gains", type=_nonnegative_int, default=DEFAULT_MAX_GAINS)
     p.set_defaults(handler=_cmd_compare)
 
     p = sub.add_parser(
@@ -414,9 +413,7 @@ def _cmd_compare(args: argparse.Namespace) -> CommandOutput:
     config = _engines.SimConfig(
         args.p, args.distance, args.trials, args.max_steps, args.seed, args.workers
     )
-    comparison = _engines.compare_methods(
-        config, max_gains=args.max_gains, progress=_progress_printer("compare")
-    )
+    comparison = _engines.compare_methods(config, progress=_progress_printer("compare"))
     sections = (
         ("ruin_probability", "ruin probability:", comparison.ruin_estimates),
         ("expected_time", "expected time to ruin (censored):", comparison.time_estimates),

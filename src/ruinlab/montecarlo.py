@@ -44,7 +44,8 @@ import math
 import os
 from collections import Counter
 from contextlib import nullcontext
-from functools import partial
+from functools import partial, reduce
+from operator import add
 from time import perf_counter
 from typing import Callable, NamedTuple
 
@@ -471,11 +472,10 @@ class MethodComparison(NamedTuple):
     """Aligned ruin-probability and expected-time estimates.
 
     The ``dp`` and ``dp_censored_mean`` rows are the references: the DP at
-    ``dp_horizon``, the simulation's ``max_steps``, so the simulation and
-    its reference share one horizon.  Every other row carries its absolute
-    deviation from them.  Approximations evaluated outside their validity
-    region, and ruin probabilities outside [0, 1], are flagged invalid, not
-    raised.
+    ``dp_horizon``, the simulation's ``max_steps``, which the simulation and
+    the series row share.  Every other row carries its absolute deviation
+    from them.  Approximations evaluated outside their validity region, and
+    ruin probabilities outside [0, 1], are flagged invalid, not raised.
     """
 
     p_gain: float
@@ -487,28 +487,28 @@ class MethodComparison(NamedTuple):
 
 
 def compare_methods(
-    config: SimConfig,
-    max_gains: int = 200,
-    progress: ProgressCallback | None = None,
+    config: SimConfig, progress: ProgressCallback | None = None
 ) -> MethodComparison:
     """Line up every estimator of the (p, d) ruin problem in one table, the
-    DP at the simulation's ``max_steps``.  The series rows come from
-    :func:`term_probabilities`: no count, no digit cap."""
+    DP and the paper-count series at the simulation's ``max_steps``.  The
+    series is :func:`term_probabilities` summed as it streams: no count, no
+    digit cap.  At one horizon the exact-count series is the DP: no row."""
     p, d, horizon = config.p, config.distance, config.max_steps
     # the kernel's bound names the flag at fault: the distance first
     check_horizon(d, "distance")
     check_horizon(horizon, "max_steps")
     reference = ruin_probability_dp(p, d, horizon)
     ruin_ref = reference.ruin_probability_within_horizon
-    # before the simulation: an oversized series fails at once, not as a row
-    series = {mode: term_probabilities(p, d, max_gains, mode)[1][-1] for mode in ("exact", "paper")}
+    gains = (horizon - d) // 2
+    # before the simulation, which a too large input must not reach; summed
+    # left to right, as ruin_series sums
+    paper = reduce(add, term_probabilities(p, d, gains, "paper"))
     sim = simulate(config, progress=progress)
 
-    series_note = f"cumulative at max_gains={max_gains}"
     ruin_rows = [
         MethodEstimate("dp", ruin_ref, True, f"reference, horizon={horizon}", 0.0),
-        _estimate("series_exact", lambda: series["exact"], ruin_ref, series_note),
-        _estimate("series_paper", lambda: series["paper"], ruin_ref, series_note),
+        _estimate("series_paper", lambda: paper, ruin_ref,
+                  f"paper count, cumulative at max_gains={gains}"),
         _estimate("approx_arith_geometric", lambda: approx_arith_geometric(p, d), ruin_ref),
         _estimate("approx_simplified", lambda: approx_simplified(p, d), ruin_ref),
         _estimate("paper_final_form", lambda: paper_final_form(p, d), ruin_ref),

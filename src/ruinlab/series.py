@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from itertools import accumulate
+from operator import mul
 from typing import Iterator, Literal, NamedTuple
 
 from .errors import DomainError, ValidityError
@@ -92,18 +93,13 @@ class SeriesReport(NamedTuple):
 
 def term_probabilities(
     p: float, d: int, max_gains: int, mode: CoefficientMode = "exact"
-) -> tuple[list[float], list[float]]:
-    """Terms for ``N = 0 .. max_gains`` and their running sums, with no path
-    count: paper mode scales each first-passage mass by the count ratio.  Only
-    exact mode's sums, of disjoint events, are clamped to 1.  ``accumulate``,
-    as the built-in ``sum`` of floats is compensated from Python 3.12."""
-    _check_series_args(p, d, max_gains, mode)
-    # the kernel first: an input too large for memory fails at once
-    probabilities = first_passage_masses(p, d, d + 2 * max_gains)
-    if mode == "exact":
-        return probabilities, [min(total, 1.0) for total in accumulate(probabilities)]
-    probabilities = [m * r for m, r in zip(probabilities, _paper_ratios(d, max_gains))]
-    return probabilities, list(accumulate(probabilities))
+) -> Iterator[float]:
+    """Terms for ``N = 0 .. max_gains``, with no path count: the kernel's
+    first-passage masses, in paper mode each scaled by the count ratio and
+    streamed.  The kernel runs at the call, so an input too large for memory
+    fails at once.  Arguments are not validated."""
+    masses = first_passage_masses(p, d, d + 2 * max_gains)
+    return iter(masses) if mode == "exact" else map(mul, masses, _paper_ratios(d, max_gains))
 
 
 def ruin_series(
@@ -132,7 +128,12 @@ def ruin_series(
             f"max_gains={max_gains} at distance {d} needs up to {digits:,.0f} decimal digits "
             f"of path counts, past the limit of {MAX_SERIES_DIGITS:,}; lower max_gains"
         )
-    probabilities, cumulative = term_probabilities(p, d, max_gains, mode)
+    probabilities = list(term_probabilities(p, d, max_gains, mode))
+    # accumulate, as the built-in sum of floats is compensated from Python
+    # 3.12; only exact mode's sums, of disjoint events, are clamped to 1
+    cumulative = accumulate(probabilities)
+    if mode == "exact":
+        cumulative = (min(total, 1.0) for total in cumulative)
     counts = (_exact_counts if mode == "exact" else _paper_counts)(d, max_gains)
     terms = [SeriesTerm(n, *term) for n, term in enumerate(zip(counts, probabilities, cumulative))]
     return SeriesReport(

@@ -372,7 +372,11 @@ def test_compare_table(capsys):
     )
     rows = {e["method"]: e for e in payload["result"]["ruin_estimates"]}
     assert rows["dp"]["value"] == pytest.approx(8 / 27, abs=1e-6)
-    assert rows["series_exact"]["abs_dev_from_dp"] < 1e-5
+    # the paper count at the DP's horizon, (20000 - 3) // 2 gains, overcounts
+    paper = rows["series_paper"]
+    assert paper["note"] == "paper count, cumulative at max_gains=9998"
+    assert paper["abs_dev_from_dp"] == paper["value"] - rows["dp"]["value"] > 0.18
+    assert "series_exact" not in rows  # at one horizon it is the DP
     assert rows["paper_final_form"]["value"] == pytest.approx(0.013824)
     assert not rows["approx_simplified"]["valid"]
     assert {e["method"] for e in payload["result"]["time_estimates"]} == {
@@ -489,7 +493,6 @@ _PARSER_SURFACE = [
     ("compare", "--max-steps", "max_steps", "_positive_int", 100000, False),
     ("compare", "--seed", "seed", "_seed", None, True),
     ("compare", "--workers", "workers", "_positive_int", None, False),
-    ("compare", "--max-gains", "max_gains", "_nonnegative_int", 200, False),
     ("demo", "--format", "format", None, "human", False),
 ]
 
@@ -695,9 +698,6 @@ _SERIES_DIGITS_MESSAGE = ("max_gains=50000 at distance 3 needs up to 1,505,145,3
          f"distance + 2 * max_gains must be <= 2**59, got {3 + 2 * 10**30}"),
         (("series", "--p", "0.5", "--distance", str(10**23), "--max-gains", "0"),
          f"distance + 2 * max_gains must be <= 2**59, got {10**23}"),
-        (("compare", "--p", "0.5", "--distance", "3", "--max-gains", str(10**20),
-          "--seed", "1"),
-         f"distance + 2 * max_gains must be <= 2**59, got {3 + 2 * 10**20}"),
         # the DP runs to --max-steps, which the simulation takes up to 2**62:
         # the message names the flag that was given, the distance first
         (("compare", "--p", "0.5", "--distance", "3", "--max-steps", str(2**60),
@@ -711,7 +711,7 @@ _SERIES_DIGITS_MESSAGE = ("max_gains=50000 at distance 3 needs up to 1,505,145,3
          _SERIES_DIGITS_MESSAGE),
     ],
     ids=["exact-horizon", "exact-distance", "exact-distance-lower-horizon",
-         "series-max-gains", "series-distance", "compare-max-gains", "compare-max-steps",
+         "series-max-gains", "series-distance", "compare-max-steps",
          "compare-distance", "series-digits"],
 )
 def test_inputs_past_the_kernel_bound_name_their_flag(argv, message):
@@ -725,14 +725,15 @@ def test_inputs_past_the_kernel_bound_name_their_flag(argv, message):
     assert err == f"error: {message}\n"
 
 
-def test_compare_has_no_horizon_flag(capsys):
-    # the DP and the simulation share --max-steps: no flag sets the DP apart
+@pytest.mark.parametrize("flag, value", [("--horizon", "100000"), ("--max-gains", "5")])
+def test_compare_has_no_horizon_flag(capsys, flag, value):
+    # every row shares --max-steps: no flag sets the DP or the series apart
     code, out, err = run_cli(capsys, "compare", "--p", "0.45", "--distance", "5",
-                             "--trials", "20000", "--max-steps", "60", "--horizon", "100000",
+                             "--trials", "20000", "--max-steps", "60", flag, value,
                              "--seed", "1")
     assert code == 2
     assert out == ""
-    assert "--horizon" in err
+    assert flag in err
 
 
 def test_compare_scores_the_simulation_at_its_own_horizon(capsys):
@@ -747,14 +748,17 @@ def test_compare_scores_the_simulation_at_its_own_horizon(capsys):
 
 def test_compare_past_the_series_digit_cap_answers():
     # compare prints no path count, so the digit cap of series, which
-    # 50 000 gains at d = 3 pass, does not refuse it
+    # 50 000 gains at d = 3 pass, does not refuse its paper row there
     code, out, err = run_cli_process(
-        "compare", "--p", "0.5", "--distance", "3", "--max-gains", "50000", "--trials", "1000",
-        "--max-steps", "1000", "--seed", "1", "--format", "json")
+        "compare", "--p", "0.5", "--distance", "3", "--trials", "1000",
+        "--max-steps", "100003", "--seed", "1", "--format", "json")
     assert code == 0, err
     rows = {row["method"]: row for row in json.loads(out)["result"]["ruin_estimates"]}
     exact = ruin_probability_dp(0.5, 3, 100_003).ruin_probability_within_horizon
-    assert rows["series_exact"]["value"] == pytest.approx(exact, abs=1e-10)
+    assert rows["dp"]["value"] == exact
+    paper = rows["series_paper"]
+    assert paper["note"] == "outside [0, 1]; paper count, cumulative at max_gains=50000"
+    assert paper["value"] > 1.0 and not paper["valid"]  # the overcount
 
 
 @pytest.mark.parametrize(

@@ -57,9 +57,9 @@ CASES = {
     "simulate_p1": ("simulate", "--p", "1", "--loss-level", "0.25", "--trials", "50",
                     "--max-steps", "20", "--seed", "5"),
     "compare_p0": ("compare", "--p", "0", "--distance", "3", "--trials", "40",
-                   "--max-steps", "30", "--seed", "9", "--max-gains", "4"),
+                   "--max-steps", "30", "--seed", "9"),
     "compare_p1": ("compare", "--p", "1", "--distance", "2", "--trials", "40",
-                   "--max-steps", "30", "--seed", "9", "--max-gains", "4"),
+                   "--max-steps", "30", "--seed", "9"),
 }
 
 

@@ -4,10 +4,10 @@ probabilities lie in [0, 1], or exits 2 or 3 with a message that names a
 flag it was given (or, for a missing flag, the flag it needs).
 
 Caps keep each example to milliseconds and a few MB, on one worker:
-horizons, trials and simulated steps up to 2000, and at most 60 series
-gains.  ``compare`` runs its DP to ``--max-steps``, so it also takes
-``--max-steps`` past the kernel's 2**59-step bound, where it must fail at
-once and name that flag.  A simulation's own ``--max-steps`` stays at
+horizons, trials and simulated steps up to 2000, and at most 60 gains for
+``series``.  ``compare`` runs its DP and its series row to ``--max-steps``,
+so it also takes ``--max-steps`` past the kernel's 2**59-step bound, where
+it must fail at once and name that flag.  A simulation's own ``--max-steps`` stays at
 2000: near p = 1/2 a run of 2**62 steps takes seconds to minutes and
 hundreds of MB.
 """
@@ -21,7 +21,7 @@ import re
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ruinlab.cli import _build_parser, main
 
@@ -61,9 +61,8 @@ COMMANDS = {
                          "target-gain-factor": legs, "target-loss-factor": loss_factors | finite},
                         {"loss-level": loss_levels})],
     "compare": [
-        flags({"p": probabilities, "distance": distances, "max-gains": gains}),
-        # the DP and the simulation share --max-steps, drawn up to past the
-        # kernel's bound
+        flags({"p": probabilities, "distance": distances}),
+        # every row shares --max-steps, drawn up to past the kernel's bound
         flags({"max-steps": horizons | st.integers(2**59 + 1, 2**62)}),
         run,
     ],
@@ -137,10 +136,22 @@ def named(flag: str, message: str) -> bool:
     return any(re.search(rf"(?<![\w-]){re.escape(form)}(?![\w-])", message) for form in forms)
 
 
+# a compare argv the strategy draws, which must answer, so compare's strategy
+# reaches the engines and not only argparse
+ANSWERS = ["compare", "--format", "json", "--p", "0.45", "--distance", "3",
+           "--max-steps", "200", "--trials", "50", "--seed", "1", "--workers", "1"]
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(argvs)
+@example(ANSWERS)
 def test_every_legal_argv_answers_or_names_its_flag(argv):
+    # the test passes on a refusal that names a given flag, so a drawn flag
+    # the parser lacks would fail every example without a test failing
+    given_flags = [arg[2:] for arg in argv if arg.startswith("--")]
+    assert set(given_flags) <= set(command_flags(argv[0]))
     code, out, err = run_cli(argv)
+    assert code == 0 or argv != ANSWERS, err
     if code == 0:
         values = unit_interval_values(argv[2], out)
         assert all(0.0 <= value <= 1.0 for value in values), values
@@ -148,6 +159,5 @@ def test_every_legal_argv_answers_or_names_its_flag(argv):
         assert code in (2, 3), err
         assert out == ""
         # the offending flag was given, unless the message is about a missing one
-        given_flags = [arg[2:] for arg in argv if arg.startswith("--")]
         candidates = command_flags(argv[0]) if "required" in err else given_flags
         assert any(named(flag, err) for flag in candidates), err

@@ -573,11 +573,15 @@ def test_compare_methods_all_zero_when_gains_certain():
 
 
 def test_compare_methods_fair_odds_rows():
-    comparison = compare_methods(lattice_config(0.5, 2, 20_000, 50_000, seed=31), max_gains=200)
+    comparison = compare_methods(lattice_config(0.5, 2, 20_000, 50_000, seed=31))
     rows = {e.method: e for e in comparison.ruin_estimates}
     assert rows["closed_form_classical"].value == 1.0
     assert rows["paper_final_form"].value == pytest.approx(0.0625)
-    assert rows["series_exact"].value > 0.9  # slowly approaching 1
+    assert rows["dp"].value > 0.99  # slowly approaching 1
+    # the overcount grows like sqrt(N) at fair odds: far past 1, flagged
+    paper = rows["series_paper"]
+    assert paper.value > 30 and not paper.valid
+    assert paper.abs_dev_from_dp == paper.value - rows["dp"].value
     assert rows["approx_arith_geometric"].value == pytest.approx(0.5)  # q*p*d = 0.5
     assert not rows["approx_simplified"].valid  # q*d = 1
     assert "outside validity" in rows["approx_simplified"].note
@@ -591,7 +595,11 @@ def test_compare_methods_fair_odds_rows():
 def test_compare_methods_without_ruin_mass_gives_no_time_deviation():
     # q**d underflows at p = 0.999, d = 400, so the DP holds no ruin mass and
     # its censored mean, the time reference, is undefined
-    comparison = compare_methods(lattice_config(0.999, 400, 40, 400, seed=3), max_gains=4)
+    comparison = compare_methods(lattice_config(0.999, 400, 40, 400, seed=3))
+    rows = {e.method: e for e in comparison.ruin_estimates}
+    # one term at 400 steps, q**400, underflowed in the series as in the DP
+    assert rows["series_paper"].value == rows["dp"].value == 0.0
+    assert rows["series_paper"].abs_dev_from_dp == 0.0
     time_rows = {e.method: e for e in comparison.time_estimates}
     assert time_rows["dp_censored_mean"].valid
     assert time_rows["dp_censored_mean"].value is None
@@ -600,13 +608,17 @@ def test_compare_methods_without_ruin_mass_gives_no_time_deviation():
     assert paper.abs_dev_from_dp is None
 
 
-@pytest.mark.parametrize("p, d, max_gains", [(0.5, 3, 2400), (0.6, 1, 1000), (0.45, 8, 600),
-                                              (0.3, 2, 0), (0.0, 4, 50), (1.0, 2, 50)])
-def test_compare_series_rows_equal_ruin_series(p, d, max_gains):
-    comparison = compare_methods(lattice_config(p, d, 100, 100, seed=4), max_gains=max_gains)
+# max_steps - d even and odd (a ruin step shares the parity of d, so the odd
+# step adds no term), no gain at all, and p at 0 and 1
+@pytest.mark.parametrize("p, d, max_steps", [(0.5, 3, 2403), (0.6, 1, 2001), (0.45, 8, 1208),
+                                             (0.45, 5, 60), (0.45, 5, 61), (0.3, 2, 2),
+                                             (0.5, 3, 3), (0.0, 4, 104), (1.0, 2, 102)])
+def test_compare_series_rows_equal_ruin_series(p, d, max_steps):
+    comparison = compare_methods(lattice_config(p, d, 100, max_steps, seed=4))
     rows = {e.method: e.value for e in comparison.ruin_estimates}
-    for mode in ("exact", "paper"):
-        assert rows[f"series_{mode}"] == ruin_series(p, d, max_gains, mode).cumulative, mode
+    assert "series_exact" not in rows  # at one horizon it is the DP
+    gains = (max_steps - d) // 2
+    assert rows["series_paper"] == ruin_series(p, d, gains, "paper").cumulative
 
 
 def test_compare_builds_no_path_count(monkeypatch):
@@ -617,10 +629,9 @@ def test_compare_builds_no_path_count(monkeypatch):
 
     monkeypatch.setattr(series, "_exact_counts", refuse)
     monkeypatch.setattr(series, "_paper_counts", refuse)
-    comparison = compare_methods(lattice_config(0.5, 3, 100, 100, seed=4), max_gains=50_000)
+    comparison = compare_methods(lattice_config(0.5, 3, 100, 100_003, seed=4))
     rows = {e.method: e for e in comparison.ruin_estimates}
-    exact = ruin_probability_dp(0.5, 3, 100_003).ruin_probability_within_horizon
-    assert rows["series_exact"].value == pytest.approx(exact, abs=1e-12)
+    assert rows["series_paper"].note.endswith("cumulative at max_gains=50000")
     assert rows["series_paper"].value > 1.0  # the overcount
     assert not rows["series_paper"].valid
 
@@ -629,10 +640,18 @@ def test_compare_methods_drifted_case_agrees():
     comparison = compare_methods(lattice_config(0.6, 3, 50_000, 20_000, seed=12))
     rows = {e.method: e for e in comparison.ruin_estimates}
     assert rows["dp"].value == pytest.approx(8 / 27, abs=1e-6)
-    assert rows["series_exact"].abs_dev_from_dp < 1e-5
     assert rows["closed_form_classical"].abs_dev_from_dp < 1e-6
     assert rows["monte_carlo"].abs_dev_from_dp < 5 * comparison.simulation.stderr
-    assert rows["series_paper"].value > rows["series_exact"].value  # overcount
+    # the paper counts' generating function at x = pq, with
+    # B = (1 - sqrt(1 - 4x)) / (2x): sum C(d+2N-2, N) x**N = B**(d-2) / sqrt(1 - 4x),
+    # less the correction's x**2 B**2 / sqrt(1 - 4x).  The tail past 20 000
+    # steps is below 0.96**9998, so the paper row is the infinite sum
+    x = 0.6 * 0.4
+    root = math.sqrt(1 - 4 * x)
+    b = (1 - root) / (2 * x)
+    paper = 0.4**3 * (b - x * x * b * b) / root
+    assert rows["series_paper"].value == pytest.approx(paper, rel=1e-12)
+    assert rows["series_paper"].abs_dev_from_dp > 0.18  # the overcount
     time_rows = {e.method: e for e in comparison.time_estimates}
     assert time_rows["paper_estimator"].value == pytest.approx(4.551020408163265)
     json.dumps(_jsonable(comparison))
